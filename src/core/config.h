@@ -49,13 +49,6 @@ struct BeeHiveConfig
     std::size_t server_alloc_bytes = 32u << 20;
 
     /**
-     * Server request-thread pool size: requests beyond this queue
-     * (bounding both memory and, like any real servlet container,
-     * producing queueing latency under overload).
-     */
-    std::size_t server_max_active = 128;
-
-    /**
      * Fraction of the profiled klass set included in the initial
      * closure. Dynamic profiling is inherently incomplete (the
      * paper's motivation for the fallback mechanism); values < 1
@@ -77,12 +70,6 @@ struct BeeHiveConfig
      */
     std::size_t function_closure_bytes = 6u << 20;
     std::size_t function_alloc_bytes = 6u << 20;
-
-    /** Per-klass network payload when fetching missing code. */
-    uint32_t klass_fetch_overhead_bytes = 256;
-
-    /** Server-side handling cost of one fallback request. */
-    sim::SimTime fallback_service = sim::SimTime::usec(40);
 
     /** Closure computation rate (entities packed per second);
      * calibrated so a pybbs-sized closure costs ~134 ms (Section
@@ -112,14 +99,6 @@ struct BeeHiveConfig
      * interpreter).
      */
     VerifyMode verify_on_load = VerifyMode::Warn;
-
-    /**
-     * Refuse OffloadManager::enableRoot for roots the static
-     * offloadability analysis classifies local-only. Off by default:
-     * classification is always computed and logged/counted, but
-     * scheduling behaviour only changes when this is set.
-     */
-    bool refuse_local_only_roots = false;
 
     /**
      * Prune closure object traversal using the interprocedural
@@ -166,16 +145,6 @@ struct BeeHiveConfig
     bool static_manifests = false;
 
     /**
-     * Install the FastTrack-style dynamic race oracle
-     * (vm/race_oracle.h) on the server VM: every interpreter then
-     * maintains vector clocks and concrete races are recorded on
-     * the server's oracle. Debug/testing aid; off by default so the
-     * interpreter hot path stays a single null-pointer check and
-     * all experiment output is bit-identical.
-     */
-    bool race_check = false;
-
-    /**
      * Install the telemetry tracer (src/telemetry/): causal span
      * recording through the whole request lifecycle, the metrics
      * registry, critical-path attribution, and the Chrome trace
@@ -209,18 +178,11 @@ struct BeeHiveConfig
 
     /**
      * Base delay of the exponential retry backoff (doubled per
-     * attempt, capped by retry_backoff_max, jittered
-     * deterministically by retry_jitter). Zero (the default) retries
+     * attempt, capped at 2 s, plus up to 25% deterministic jitter;
+     * see OffloadManager::backoffDelay). Zero (the default) retries
      * synchronously, preserving the legacy recovery ordering.
      */
     sim::SimTime retry_backoff_base;
-
-    /** Ceiling of the exponential retry backoff. */
-    sim::SimTime retry_backoff_max = sim::SimTime::sec(2);
-
-    /** Fractional deterministic jitter applied to each backoff
-     * delay (derived via mix64, no RNG state consumed). */
-    double retry_jitter = 0.25;
 
     /**
      * Consecutive per-instance failures (deadline expiry, crash)
@@ -233,27 +195,12 @@ struct BeeHiveConfig
     /**
      * Automatically lower the effective offload ratio when the
      * FaaS error rate spikes and restore it once flights complete
-     * cleanly again. Off by default: with it off the dispatch path
-     * performs no outcome bookkeeping and the offload coin flip is
-     * bitwise-identical to prior behaviour.
+     * cleanly again (window, threshold and floor are fixed in
+     * OffloadManager::noteOutcome). Off by default: with it off the
+     * dispatch path performs no outcome bookkeeping and the offload
+     * coin flip is bitwise-identical to prior behaviour.
      */
     bool graceful_degradation = false;
-
-    /** Sliding window of flight outcomes the degradation policy
-     * evaluates. */
-    uint32_t degrade_window = 16;
-
-    /** Error rate within the window that triggers halving the
-     * offload ratio. */
-    double degrade_error_threshold = 0.5;
-
-    /** Floor of the degradation factor (never degrade below this
-     * fraction of the configured ratio). */
-    double degrade_floor = 0.05;
-
-    /** Base backoff before re-issuing a DB operation whose
-     * connection was reset (doubled per attempt, capped at 16x). */
-    sim::SimTime db_retry_backoff = sim::SimTime::usec(400);
 
     /**
      * Let the lockset race detector (vm/race_analysis.h) widen

@@ -6,9 +6,10 @@
  * When an application's native method needs the outside world (a
  * database round trip through a stateful connection), it cannot
  * complete inside the interpreter: the handler returns an External
- * suspension carrying one of these payloads, and the BeeHive driver
- * for the endpoint performs the operation against the proxy with
- * the appropriate latency, then resumes the interpreter.
+ * suspension carrying one of these payloads, and the invocation
+ * driver (core/invocation.h) performs the operation through the
+ * endpoint's transport with the appropriate latency, then resumes
+ * the interpreter.
  */
 
 #ifndef BEEHIVE_CORE_EXTERNAL_H

@@ -4,8 +4,9 @@
  *
  * A BeeHiveFunction wraps one FaaS instance with a full VM: its own
  * heap (closure space + allocation semispaces), its own loaded-klass
- * set, the per-function GC, and the invocation driver that services
- * every fallback the interpreter raises:
+ * set, and the per-function GC. As the invocation driver's function
+ * endpoint (core/invocation.h) it serves every fallback the
+ * interpreter raises:
  *
  *   - missing code / missing data: round trip to the server, fetch
  *     the class file or object, install it, retry (Section 3.1);
@@ -31,6 +32,7 @@
 
 #include "cloud/faas.h"
 #include "core/closure.h"
+#include "core/invocation.h"
 #include "core/server.h"
 #include "core/trace.h"
 #include "gc/collector.h"
@@ -39,18 +41,16 @@
 namespace beehive::core {
 
 /** One function instance's runtime. */
-class BeeHiveFunction
+class BeeHiveFunction : private Endpoint
 {
   public:
-    using DoneCb = std::function<void(vm::Value, const RequestTrace &)>;
+    using DoneCb = Invocation::DoneCb;
 
     /**
      * @param server The coordinating server runtime.
-     * @param platform Owning FaaS platform (profile, latencies).
      * @param instance The machine this function runs on.
      */
     BeeHiveFunction(BeeHiveServer &server,
-                    cloud::FaasPlatform &platform,
                     cloud::FunctionInstance &instance);
 
     ~BeeHiveFunction();
@@ -62,7 +62,7 @@ class BeeHiveFunction
     vm::VmContext &context() { return *ctx_; }
     vm::Heap &heap() { return *heap_; }
     gc::SemiSpaceCollector &collector() { return *collector_; }
-    bool busy() const { return invocation_ != nullptr; }
+    bool busy() const { return invocation_.get() != nullptr; }
     /** True once a (shadow) execution of @p root warmed this VM. */
     bool warmedFor(vm::MethodId root) const
     {
@@ -115,9 +115,6 @@ class BeeHiveFunction
     }
     bool hasSnapshot() const { return !snapshot_.empty(); }
 
-    /** Root the stored snapshot belongs to (kNoMethod when none). */
-    vm::MethodId snapshotRoot() const { return snapshot_root_; }
-
     /** Write-sequence position captured with the snapshot; a resume
      * continues keying writes from here so idempotency keys line up
      * with what the failed execution already applied. */
@@ -145,10 +142,6 @@ class BeeHiveFunction
                 bool shadow, DoneCb done, uint64_t request_key = 0,
                 uint64_t start_write_seq = 0);
 
-    /** Aggregated trace across all invocations on this function. */
-    const RequestTrace &totalTrace() const { return total_trace_; }
-    uint64_t invocations() const { return invocation_count_; }
-
     /**
      * Note a restore-boot prefetch: the working set installed from
      * the snapshot image before the first invocation dispatches.
@@ -163,11 +156,52 @@ class BeeHiveFunction
     }
 
   private:
-    class Invocation;
-    friend class Invocation;
+    // Endpoint
+    sim::ProcessorSharingCpu &
+    cpu() override
+    {
+        return instance_.machine->cpu();
+    }
+    uint32_t track() const override { return instance_.track; }
+    uint16_t syncId() const override { return endpoint_id_; }
+    sim::SimTime serverHop(uint64_t req_bytes,
+                           uint64_t resp_bytes) override;
+    sim::SimTime collectGarbage() override
+    {
+        return collector_->collect().pause;
+    }
+    DbAttempt sendDb(Invocation &inv, const DbCallPayload &payload,
+                     uint64_t idem) override;
+    void classFault(Invocation &inv, vm::KlassId klass) override;
+    void objectFault(Invocation &inv, vm::Ref remote_ref) override;
+    void nativeFallback(Invocation &inv) override;
+    void syncPoint(Invocation &inv) override;
+    void complete(Invocation &inv, vm::Value result) override;
+
+    /** Create the single invocation and fill its trace header. */
+    Invocation &newInvocation(vm::MethodId root, bool shadow,
+                              DoneCb done, uint64_t request_key,
+                              uint64_t write_seq, const char *metric);
+
+    /** Run @p record against the snapshot store when @p inv is part
+     * of a recorded cold boot (restore boots are already fault-free
+     * for the recorded set; warm ones never fault on it). */
+    template <typename Fn>
+    void
+    recordFault(Invocation &inv, Fn record)
+    {
+        if (inv.trace().boot != cloud::BootKind::Cold)
+            return;
+        if (auto *snaps = server_.snapshots())
+            record(*snaps);
+    }
+
+    /** Promote a function-local value for a recovery snapshot. */
+    vm::Value snapshotValue(vm::Value v);
+    /** Field translation inside promoted snapshot objects. */
+    vm::Value snapshotServerField(vm::Value v);
 
     BeeHiveServer &server_;
-    cloud::FaasPlatform &platform_;
     cloud::FunctionInstance &instance_;
     uint16_t endpoint_id_ = 0;
 
@@ -177,13 +211,10 @@ class BeeHiveFunction
 
     std::set<vm::MethodId> warmed_roots_;
     std::set<uint64_t> attached_tokens_;
-    std::shared_ptr<Invocation> invocation_;
+    Invocation::Ptr invocation_;
     std::vector<vm::Frame> snapshot_;
-    vm::MethodId snapshot_root_ = vm::kNoMethod;
     uint64_t snapshot_write_seq_ = 0;
     uint64_t snapshot_request_key_ = 0;
-    RequestTrace total_trace_;
-    uint64_t invocation_count_ = 0;
     bool dead_ = false;
 
     struct PendingPrefetch

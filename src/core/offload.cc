@@ -11,6 +11,15 @@ namespace beehive::core {
 
 using vm::Value;
 
+// Retry backoff: ceiling, and jitter as a fraction of each delay.
+constexpr sim::SimTime kRetryBackoffMax = sim::SimTime::sec(2);
+constexpr double kRetryJitter = 0.25;
+// Degradation: outcome window, error rate that halves the ratio, and
+// the lowest fraction of the configured ratio it may fall to.
+constexpr std::size_t kDegradeWindow = 16;
+constexpr double kDegradeErrorThreshold = 0.5;
+constexpr double kDegradeFloor = 0.05;
+
 OffloadManager::OffloadManager(BeeHiveServer &server,
                                cloud::FaasPlatform &platform)
     : server_(server), platform_(platform),
@@ -103,14 +112,6 @@ OffloadManager::enableRoot(vm::MethodId root,
     state.klass = report.klass;
     state.capture = std::move(capture);
     state.has_capture = true;
-    if (report.klass == vm::OffloadClass::LocalOnly &&
-        server_.config().refuse_local_only_roots) {
-        ++stats_.roots_refused;
-        warn("offload-analysis: refusing local-only root %s",
-             program.qualifiedName(root).c_str());
-        state.enabled = false;
-        return;
-    }
     state.enabled = true;
     state.sample_args = std::move(sample_args);
 
@@ -218,8 +219,8 @@ BeeHiveFunction &
 OffloadManager::functionOf(cloud::FunctionInstance &inst)
 {
     if (!inst.runtime_state) {
-        inst.runtime_state = std::make_shared<BeeHiveFunction>(
-            server_, platform_, inst);
+        inst.runtime_state =
+            std::make_shared<BeeHiveFunction>(server_, inst);
     }
     return *std::static_pointer_cast<BeeHiveFunction>(
         inst.runtime_state);
@@ -551,24 +552,25 @@ OffloadManager::killFlight(uint64_t flight_id)
     bh_assert(flight.instance && flight.instance->runtime_state,
               "killFlight without a serving instance");
     BeeHiveFunction &fn = functionOf(*flight.instance);
-    // Capture recovery state before tearing the instance down. Only
-    // a snapshot captured by THIS flight's own invocation may be
-    // resumed: the stored snapshot outlives invocations, and one
-    // left behind by an earlier request on the same instance would
-    // resume the wrong execution (dropping this request's remaining
-    // work, including its writes).
-    flight.had_snapshot = server_.config().failure_recovery &&
-                          fn.hasSnapshot() &&
-                          fn.snapshotRequestKey() == flight_id;
-    if (flight.had_snapshot) {
-        flight.snapshot = fn.lastSnapshot();
-        flight.snapshot_seq = fn.snapshotWriteSeq();
-    }
+    // Capture recovery state before tearing the instance down.
+    flight.had_snapshot = takeOwnSnapshot(flight_id, flight, fn);
     fn.kill();
     strikes_.erase(flight.instance);
     platform_.destroy(*flight.instance);
     flight.instance = nullptr;
     failFlight(flight_id, "offload.failures.kill");
+}
+
+bool
+OffloadManager::takeOwnSnapshot(uint64_t flight_id, InFlight &flight,
+                                BeeHiveFunction &fn)
+{
+    if (!server_.config().failure_recovery || !fn.hasSnapshot() ||
+        fn.snapshotRequestKey() != flight_id)
+        return false;
+    flight.snapshot = fn.lastSnapshot();
+    flight.snapshot_seq = fn.snapshotWriteSeq();
+    return true;
 }
 
 void
@@ -585,13 +587,8 @@ OffloadManager::failFlight(uint64_t flight_id, const char *why)
         // instance, but refresh the recovery snapshot first.
         if (flight.instance->runtime_state) {
             BeeHiveFunction &fn = functionOf(*flight.instance);
-            if (server_.config().failure_recovery &&
-                fn.hasSnapshot() &&
-                fn.snapshotRequestKey() == flight_id) {
+            if (takeOwnSnapshot(flight_id, flight, fn))
                 flight.had_snapshot = true;
-                flight.snapshot = fn.lastSnapshot();
-                flight.snapshot_seq = fn.snapshotWriteSeq();
-            }
             fn.cancelInvocation();
         }
         releaseFailedInstance(flight);
@@ -803,22 +800,20 @@ sim::SimTime
 OffloadManager::backoffDelay(uint64_t flight_id,
                              uint32_t attempt) const
 {
-    const BeeHiveConfig &cfg = server_.config();
-    sim::SimTime delay = cfg.retry_backoff_base;
+    sim::SimTime delay = server_.config().retry_backoff_base;
     if (delay == sim::SimTime())
         return delay;
-    for (uint32_t i = 1; i < attempt && delay < cfg.retry_backoff_max;
-         ++i)
+    for (uint32_t i = 1; i < attempt && delay < kRetryBackoffMax; ++i)
         delay = delay * 2.0;
-    if (cfg.retry_backoff_max < delay)
-        delay = cfg.retry_backoff_max;
+    if (kRetryBackoffMax < delay)
+        delay = kRetryBackoffMax;
     // Deterministic jitter: a mix64-derived fraction of (flight,
     // attempt) decorrelates retry storms without consuming any
     // generator state.
     double frac =
         static_cast<double>(mix64(flight_id, attempt) >> 11) *
         (1.0 / 9007199254740992.0);
-    return delay * (1.0 + cfg.retry_jitter * frac);
+    return delay * (1.0 + kRetryJitter * frac);
 }
 
 void
@@ -842,13 +837,12 @@ OffloadManager::releaseFailedInstance(InFlight &flight)
 void
 OffloadManager::noteOutcome(bool ok)
 {
-    const BeeHiveConfig &cfg = server_.config();
-    if (!cfg.graceful_degradation)
+    if (!server_.config().graceful_degradation)
         return;
     outcome_window_.push_back(ok);
-    while (outcome_window_.size() > cfg.degrade_window)
+    while (outcome_window_.size() > kDegradeWindow)
         outcome_window_.pop_front();
-    if (outcome_window_.size() < cfg.degrade_window)
+    if (outcome_window_.size() < kDegradeWindow)
         return;
     std::size_t errors = 0;
     for (bool b : outcome_window_) {
@@ -858,9 +852,8 @@ OffloadManager::noteOutcome(bool ok)
     double rate = static_cast<double>(errors) /
                   static_cast<double>(outcome_window_.size());
     telemetry::Tracer *t = server_.sim().tracer();
-    if (rate >= cfg.degrade_error_threshold) {
-        degrade_factor_ =
-            std::max(cfg.degrade_floor, degrade_factor_ * 0.5);
+    if (rate >= kDegradeErrorThreshold) {
+        degrade_factor_ = std::max(kDegradeFloor, degrade_factor_ * 0.5);
         ++stats_.degradations;
         outcome_window_.clear();
         if (t)

@@ -92,7 +92,6 @@ struct OffloadStats
     uint64_t roots_offload_safe = 0;
     uint64_t roots_needs_fallback = 0;
     uint64_t roots_local_only = 0;
-    uint64_t roots_refused = 0; //!< local-only roots refused
     /** Monitor sites the race detector proved vacuous across
      * enabled roots (race_admission only). */
     uint64_t vacuous_monitors = 0;
@@ -142,8 +141,7 @@ class OffloadManager
      * arguments for closure construction. Typically fed from
      * Profiler::selectRoots(). Runs the static offloadability
      * analysis on @p root: the classification is logged and
-     * counted in stats(); with config.refuse_local_only_roots a
-     * statically local-only root stays disabled.
+     * counted in stats(); scheduling does not depend on it.
      */
     void enableRoot(vm::MethodId root,
                     std::vector<vm::Value> sample_args);
@@ -285,6 +283,15 @@ class OffloadManager
      * then fail the attempt.
      */
     void killFlight(uint64_t flight_id);
+
+    /**
+     * Copy @p fn's recovery snapshot into @p flight if THIS flight's
+     * invocation captured it; returns whether it did. A snapshot
+     * left by an earlier request on the instance would resume the
+     * wrong execution, dropping this request's remaining writes.
+     */
+    bool takeOwnSnapshot(uint64_t flight_id, InFlight &flight,
+                         BeeHiveFunction &fn);
 
     /**
      * One attempt of @p flight_id failed (deadline, boot failure,

@@ -1,9 +1,6 @@
 #include "core/server.h"
 
-#include <algorithm>
-
 #include "support/logging.h"
-#include "support/strutil.h"
 #include "vm/analysis.h"
 #include "vm/verifier.h"
 
@@ -11,349 +8,10 @@ namespace beehive::core {
 
 using vm::Value;
 
-std::optional<Value>
-tryMaterializeDbResponse(vm::VmContext &ctx, const db::Request &req,
-                         const db::Response &resp)
-{
-    switch (req.kind) {
-      case db::OpKind::Put:
-      case db::OpKind::Delete:
-      case db::OpKind::Count:
-        return Value::ofInt(resp.ok ? resp.count : -1);
-      case db::OpKind::Get:
-      case db::OpKind::Scan: {
-        vm::Heap &heap = ctx.heap();
-        vm::KlassId arr_k = ctx.config().array_klass;
-        vm::KlassId bytes_k = ctx.config().bytes_klass;
-        bh_assert(arr_k != vm::kNoKlass && bytes_k != vm::kNoKlass,
-                  "array/bytes klass not configured");
-        vm::Ref arr = heap.allocArray(
-            arr_k, static_cast<uint32_t>(resp.rows.size()));
-        if (arr == vm::kNullRef)
-            return std::nullopt;
-        for (std::size_t i = 0; i < resp.rows.size(); ++i) {
-            const db::Row &row = resp.rows[i];
-            std::string wire = strprintf("%lld", static_cast<long long>(
-                                                     row.id));
-            for (const auto &[k, v] : row.fields)
-                wire += "|" + k + "=" + v;
-            vm::Ref cell = heap.allocBytes(bytes_k, wire);
-            if (cell == vm::kNullRef)
-                return std::nullopt;
-            heap.setElem(arr, static_cast<uint32_t>(i),
-                         Value::ofRef(cell));
-        }
-        return Value::ofRef(arr);
-      }
-    }
-    return Value::nil();
-}
-
-Value
-materializeDbResponse(vm::VmContext &ctx, const db::Request &req,
-                      const db::Response &resp)
-{
-    auto v = tryMaterializeDbResponse(ctx, req, resp);
-    bh_assert(v.has_value(), "heap exhausted materializing db rows");
-    return *v;
-}
-
-// ---------------------------------------------------------------------
-// LocalInvocation: the per-request state machine on the server.
-// ---------------------------------------------------------------------
-
-class BeeHiveServer::LocalInvocation
-{
-  public:
-    LocalInvocation(BeeHiveServer &server, vm::MethodId root,
-                    std::vector<Value> args, DoneCb done,
-                    bool suppress_offload, uint64_t request_key,
-                    telemetry::Context tctx)
-        : server_(server), interp_(server.context()), root_(root),
-          done_(std::move(done)), request_key_(request_key),
-          tctx_(tctx)
-    {
-        interp_.setSuppressOffload(suppress_offload);
-        if (server_.profiling()) {
-            // Handlers reached through framework plumbing are
-            // profiled by the interpreter's candidate tracking;
-            // directly-started candidate roots use plain recording.
-            interp_.enableCandidateProfiling(true);
-            recording_ = server_.profiler().isCandidate(root);
-            interp_.enableRecording(recording_);
-        }
-        interp_.start(root, std::move(args));
-    }
-
-    /** GC root access for the server collector. */
-    vm::Interpreter &interp() { return interp_; }
-
-    void
-    begin()
-    {
-        ++server_.stats_.local_requests;
-        if (auto *t = tracer()) {
-            exec_span_ =
-                t->begin("server.exec", telemetry::Phase::Exec,
-                         server_.track(), tctx_.span, tctx_.request);
-        }
-        pump();
-    }
-
-  private:
-    telemetry::Tracer *tracer() { return server_.sim().tracer(); }
-    void
-    pump()
-    {
-        vm::Suspend s = interp_.run();
-        double cost = interp_.consumeCost();
-        total_cost_ += cost;
-        if (cost > 0.0) {
-            server_.machine().cpu().submit(
-                cost, [this, s] { dispatch(s); });
-        } else {
-            dispatch(s);
-        }
-    }
-
-    void
-    dispatch(const vm::Suspend &s)
-    {
-        switch (s.kind) {
-          case vm::Suspend::Kind::Done:
-            finish(s.result);
-            return;
-
-          case vm::Suspend::Kind::Quantum:
-            pump();
-            return;
-
-          case vm::Suspend::Kind::External: {
-            auto payload = std::any_cast<DbCallPayload>(s.external);
-            // Re-executions of a failed offload key their writes so
-            // the proxy can suppress duplicates (exactly-once).
-            uint64_t idem = 0;
-            bool is_write =
-                payload.request.kind == db::OpKind::Put ||
-                payload.request.kind == db::OpKind::Delete;
-            if (is_write && request_key_ != 0)
-                idem = (request_key_ << 16) | (write_seq_++ & 0xffff);
-            issueDb(std::move(payload), idem, /*attempt=*/0);
-            return;
-          }
-
-          case vm::Suspend::Kind::MonitorAcquire: {
-            vm::Ref obj = s.monitor_obj;
-            telemetry::SpanId sync_span = telemetry::kNoSpan;
-            if (auto *t = tracer()) {
-                sync_span = t->begin("sync.wait",
-                                     telemetry::Phase::Sync,
-                                     server_.track(), exec_span_,
-                                     tctx_.request);
-            }
-            server_.sync().acquireMonitor(
-                0, this, obj,
-                [this, obj,
-                 sync_span](const SyncManager::SyncResult &r) {
-                    sim::SimTime latency;
-                    if (r.remote && r.prev_owner != 0) {
-                        // Coordinate with the previous owner
-                        // function (Figure 6).
-                        net::EndpointId fn_node =
-                            server_.functionNode(r.prev_owner);
-                        latency = server_.network().roundTrip(
-                            server_.endpoint(), fn_node, 64,
-                            r.bytes_transferred + 64);
-                    }
-                    interp_.grantMonitor(obj);
-                    server_.sim().after(latency, [this, sync_span] {
-                        if (auto *t = tracer())
-                            t->end(sync_span);
-                        pump();
-                    });
-                });
-            return;
-          }
-
-          case vm::Suspend::Kind::MonitorRelease: {
-            server_.sync().releaseMonitor(0, this, s.monitor_obj);
-            interp_.grantRelease();
-            pump();
-            return;
-          }
-
-          case vm::Suspend::Kind::VolatileSync: {
-            // Volatile acquire/release: pull the last releaser's
-            // state (no mutual exclusion involved).
-            vm::Ref obj = s.monitor_obj;
-            SyncManager::SyncResult r =
-                server_.sync().acquire(0, obj);
-            sim::SimTime latency;
-            if (r.remote && r.prev_owner != 0) {
-                latency = server_.network().roundTrip(
-                    server_.endpoint(),
-                    server_.functionNode(r.prev_owner), 64,
-                    r.bytes_transferred + 64);
-            }
-            telemetry::SpanId sync_span = telemetry::kNoSpan;
-            if (auto *t = tracer()) {
-                sync_span = t->begin("sync.volatile",
-                                     telemetry::Phase::Sync,
-                                     server_.track(), exec_span_,
-                                     tctx_.request);
-            }
-            interp_.grantVolatile(obj);
-            server_.sim().after(latency, [this, sync_span] {
-                if (auto *t = tracer())
-                    t->end(sync_span);
-                pump();
-            });
-            return;
-          }
-
-          case vm::Suspend::Kind::HeapFull: {
-            telemetry::SpanId gc_span = telemetry::kNoSpan;
-            if (auto *t = tracer()) {
-                gc_span = t->begin("gc.pause",
-                                   telemetry::Phase::Gc,
-                                   server_.track(), exec_span_,
-                                   tctx_.request);
-            }
-            sim::SimTime pause = server_.runGc();
-            server_.sim().after(pause, [this, gc_span] {
-                if (auto *t = tracer())
-                    t->end(gc_span);
-                pump();
-            });
-            return;
-          }
-
-          case vm::Suspend::Kind::OffloadCall: {
-            bh_assert(server_.offload_dispatch_,
-                      "OffloadCall without an offload manager");
-            // The manager opens its flight span under this exec
-            // span via the ambient context (synchronous call).
-            telemetry::ScopedContext sc(
-                tracer(), {tctx_.request, exec_span_});
-            server_.offload_dispatch_(
-                s.offload_method, s.offload_args,
-                [this](Value result) {
-                    interp_.resumeExternal(result);
-                    pump();
-                });
-            return;
-          }
-
-          case vm::Suspend::Kind::ClassFault:
-          case vm::Suspend::Kind::ObjectFault:
-          case vm::Suspend::Kind::NativeFallback:
-            panic("impossible suspend on the server (kind %d)",
-                  static_cast<int>(s.kind));
-        }
-    }
-
-    void
-    issueDb(DbCallPayload payload, uint64_t idem, uint32_t attempt)
-    {
-        db::Response resp = server_.proxy().request(
-            static_cast<proxy::ConnId>(payload.conn_token),
-            payload.request, idem);
-        sim::SimTime latency =
-            server_.dbRoundTrip(payload.request, resp);
-        // Resets the proxy absorbed (transparent read re-issue)
-        // cost one reconnect each.
-        if (resp.resets > 0) {
-            latency += server_.proxy().reconnectPenalty() *
-                       static_cast<double>(resp.resets);
-        }
-        telemetry::SpanId db_span = telemetry::kNoSpan;
-        if (auto *t = tracer()) {
-            db_span = t->begin("db.roundtrip", telemetry::Phase::Db,
-                               server_.track(), exec_span_,
-                               tctx_.request);
-            t->metrics().count("db.ops");
-        }
-        if (resp.reset) {
-            // The connection dropped before the operation executed:
-            // reconnect and re-issue with capped exponential backoff.
-            if (auto *t = tracer())
-                t->metrics().count("db.resets");
-            sim::SimTime backoff =
-                server_.config().db_retry_backoff *
-                static_cast<double>(1u << std::min(attempt, 4u));
-            sim::SimTime delay = latency +
-                                 server_.proxy().reconnectPenalty() +
-                                 backoff;
-            server_.sim().after(
-                delay, [this, payload = std::move(payload), idem,
-                        attempt, db_span]() mutable {
-                    if (auto *t = tracer())
-                        t->end(db_span);
-                    issueDb(std::move(payload), idem, attempt + 1);
-                });
-            return;
-        }
-        server_.sim().after(latency, [this, payload, resp, db_span] {
-            if (auto *t = tracer())
-                t->end(db_span);
-            auto v = tryMaterializeDbResponse(server_.context(),
-                                              payload.request, resp);
-            if (!v) {
-                server_.runGc();
-                v = tryMaterializeDbResponse(server_.context(),
-                                             payload.request, resp);
-            }
-            bh_assert(v.has_value(), "server heap exhausted");
-            interp_.resumeExternal(*v);
-            pump();
-        });
-    }
-
-    void
-    finish(Value result)
-    {
-        // Safety net: a request must not exit holding monitors.
-        server_.sync().abandonHolder(this);
-        if (recording_) {
-            server_.profiler().recordExecution(
-                root_, total_cost_, interp_.recordedKlasses(),
-                interp_.recordedStatics(),
-                interp_.stats().monitor_enters);
-        }
-        if (auto *t = tracer()) {
-            const vm::InterpStats &is = interp_.stats();
-            telemetry::MetricsRegistry &m = t->metrics();
-            m.count("server.requests");
-            m.observe("vm.instructions_per_request",
-                      static_cast<double>(is.instructions));
-            m.count("vm.instructions", is.instructions);
-            m.count("vm.calls", is.calls);
-            m.count("vm.native_calls", is.native_calls);
-            m.count("vm.ic_hits", is.ic_hits);
-            m.count("vm.ic_misses", is.ic_misses);
-            t->end(exec_span_);
-        }
-        DoneCb done = std::move(done_);
-        BeeHiveServer &server = server_;
-        server.active_.erase(this);
-        delete this;
-        done(result);
-        server.drainQueue();
-    }
-
-    BeeHiveServer &server_;
-    vm::Interpreter interp_;
-    vm::MethodId root_;
-    DoneCb done_;
-    /** Exactly-once identity of this request (0 = unkeyed). */
-    uint64_t request_key_ = 0;
-    /** Deterministic write counter for idempotency keys. */
-    uint64_t write_seq_ = 0;
-    telemetry::Context tctx_;
-    telemetry::SpanId exec_span_ = telemetry::kNoSpan;
-    bool recording_ = false;
-    double total_cost_ = 0.0;
-};
+/** Request-thread pool size: requests beyond it queue (bounding
+ * memory and, like any servlet container, producing queueing
+ * latency under overload). */
+constexpr std::size_t kServerMaxActive = 128;
 
 // ---------------------------------------------------------------------
 // BeeHiveServer
@@ -388,14 +46,6 @@ BeeHiveServer::BeeHiveServer(sim::Simulation &sim, net::Network &net,
         snapshots_ = std::make_unique<snapshot::SnapshotStore>(
             program_, *heap_, config_.snapshot_image_budget_bytes,
             config_.snapshot_min_boots);
-    }
-
-    if (config_.race_check) {
-        // Dynamic race oracle: every request interpreter on this
-        // VM registers an execution context and reports monitor
-        // and heap-access events (vm/race_oracle.h).
-        race_oracle_ = std::make_unique<vm::RaceOracle>(program_);
-        ctx_->setRaceOracle(race_oracle_.get());
     }
 
     // Verify-on-load (strict = reject, warn = log). The verifier is
@@ -443,7 +93,7 @@ BeeHiveServer::BeeHiveServer(sim::Simulation &sim, net::Network &net,
     // tables + sync manager state.
     collector_ = std::make_unique<gc::SemiSpaceCollector>(*heap_);
     collector_->addValueRoots([this](const auto &visit) {
-        for (LocalInvocation *inv : active_)
+        for (auto &[key, inv] : active_)
             inv->interp().forEachRoot(visit);
         for (QueuedRequest &req : queue_) {
             for (vm::Value &v : req.args)
@@ -486,7 +136,7 @@ BeeHiveServer::handleLocal(vm::MethodId root, std::vector<Value> args,
     if (auto *t = sim_.tracer())
         tctx = t->current();
     if (!suppress_offload &&
-        active_.size() >= config_.server_max_active) {
+        active_.size() >= kServerMaxActive) {
         // Thread pool exhausted: queue (bounded memory; queueing
         // latency is what overload looks like to clients).
         telemetry::SpanId queue_span = telemetry::kNoSpan;
@@ -511,18 +161,91 @@ BeeHiveServer::launch(vm::MethodId root, std::vector<Value> args,
                       DoneCb done, bool suppress_offload,
                       uint64_t request_key, telemetry::Context tctx)
 {
-    auto *inv = new LocalInvocation(*this, root, std::move(args),
-                                    std::move(done), suppress_offload,
-                                    request_key, tctx);
-    active_.insert(inv);
-    inv->begin();
+    Invocation::Ptr inv(new Invocation(
+        *this, *this, *ctx_, root,
+        [done = std::move(done)](Value v, const RequestTrace &) {
+            done(v);
+        },
+        tctx, /*shadow=*/false, request_key));
+    inv->interp().setSuppressOffload(suppress_offload);
+    if (profiling_) {
+        // Handlers reached through framework plumbing are profiled
+        // by the interpreter's candidate tracking; directly-started
+        // candidate roots use plain recording.
+        inv->interp().enableCandidateProfiling(true);
+        inv->setRecording(profiler_.isCandidate(root));
+    }
+    active_.emplace(inv.get(), inv);
+    ++stats_.local_requests;
+    inv->start("server.exec", std::move(args));
+}
+
+void
+BeeHiveServer::complete(Invocation &inv, Value result)
+{
+    inv.retire();
+    if (inv.recording()) {
+        const vm::Interpreter &interp = inv.interp();
+        profiler_.recordExecution(inv.root(), inv.cpuWork(),
+                                  interp.recordedKlasses(),
+                                  interp.recordedStatics(),
+                                  interp.stats().monitor_enters);
+    }
+    if (auto *t = sim_.tracer()) {
+        const vm::InterpStats &is = inv.interp().stats();
+        telemetry::MetricsRegistry &m = t->metrics();
+        m.count("server.requests");
+        m.observe("vm.instructions_per_request",
+                  static_cast<double>(is.instructions));
+        m.count("vm.instructions", is.instructions);
+        m.count("vm.calls", is.calls);
+        m.count("vm.native_calls", is.native_calls);
+        m.count("vm.ic_hits", is.ic_hits);
+        m.count("vm.ic_misses", is.ic_misses);
+    }
+    // The continuation running us keeps `inv` alive past its slot.
+    active_.erase(&inv);
+    inv.reply(result);
+    drainQueue();
+}
+
+void
+BeeHiveServer::offloadCall(Invocation &inv, vm::MethodId method,
+                           std::vector<Value> args)
+{
+    bh_assert(offload_dispatch_,
+              "OffloadCall without an offload manager");
+    // The manager opens its flight span under this exec span via
+    // the ambient context (synchronous call).
+    telemetry::ScopedContext sc(sim_.tracer(), inv.spanContext());
+    offload_dispatch_(method, std::move(args),
+                      [self = Invocation::Ptr(&inv)](Value result) {
+                          if (self->live())
+                              self->resumeWith(result);
+                      });
+}
+
+DbAttempt
+BeeHiveServer::sendDb(Invocation &inv, const DbCallPayload &payload,
+                      uint64_t idem)
+{
+    DbAttempt a;
+    a.resp = proxy_.request(static_cast<proxy::ConnId>(
+                                payload.conn_token),
+                            payload.request, idem);
+    a.latency = dbRoundTrip(payload.request, a.resp);
+    a.span = inv.span("db.roundtrip", telemetry::Phase::Db);
+    inv.countMetric("db.ops");
+    if (a.resp.reset)
+        inv.countMetric("db.resets");
+    return a;
 }
 
 void
 BeeHiveServer::drainQueue()
 {
     while (!queue_.empty() &&
-           active_.size() < config_.server_max_active) {
+           active_.size() < kServerMaxActive) {
         QueuedRequest req = std::move(queue_.front());
         queue_.pop_front();
         if (auto *t = sim_.tracer())

@@ -17,13 +17,12 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <optional>
-#include <set>
 
 #include "cloud/instance.h"
 #include "core/closure.h"
 #include "core/config.h"
 #include "core/external.h"
+#include "core/invocation.h"
 #include "core/mapping.h"
 #include "core/sync.h"
 #include "core/trace.h"
@@ -37,7 +36,6 @@
 #include "vm/context.h"
 #include "vm/interpreter.h"
 #include "vm/profiler.h"
-#include "vm/race_oracle.h"
 
 namespace beehive::core {
 
@@ -49,8 +47,8 @@ struct ServerStats
     uint64_t gc_cycles = 0;
 };
 
-/** The server-side BeeHive runtime. */
-class BeeHiveServer
+/** The server-side BeeHive runtime, and the server's Endpoint. */
+class BeeHiveServer : private Endpoint
 {
   public:
     using DoneCb = std::function<void(vm::Value)>;
@@ -94,10 +92,7 @@ class BeeHiveServer
     snapshot::SnapshotStore *snapshots() { return snapshots_.get(); }
 
     /** Telemetry track of this server (0 when telemetry is off). */
-    uint32_t track() const { return track_; }
-
-    /** Dynamic race oracle; null unless config.race_check. */
-    vm::RaceOracle *raceOracle() { return race_oracle_.get(); }
+    uint32_t track() const override { return track_; }
     /// @}
 
     /**
@@ -148,13 +143,11 @@ class BeeHiveServer
 
     /** Function instance destroyed: locks revert, mappings drop. */
     void dropFunction(uint16_t fn_endpoint);
-
-    std::size_t functionCount() const { return mappings_.size(); }
     /// @}
 
     /**
      * Account one fallback served (stats; latency charged by the
-     * calling function driver).
+     * function's invocation).
      */
     void countFallbackServed() { ++stats_.fallbacks_served; }
 
@@ -173,7 +166,16 @@ class BeeHiveServer
                              const db::Response &resp);
 
   private:
-    class LocalInvocation;
+    // Endpoint
+    sim::ProcessorSharingCpu &cpu() override { return machine_.cpu(); }
+    uint16_t syncId() const override { return 0; }
+    sim::SimTime serverHop(uint64_t, uint64_t) override { return {}; }
+    sim::SimTime collectGarbage() override { return runGc(); }
+    DbAttempt sendDb(Invocation &inv, const DbCallPayload &payload,
+                     uint64_t idem) override;
+    void offloadCall(Invocation &inv, vm::MethodId method,
+                     std::vector<vm::Value> args) override;
+    void complete(Invocation &inv, vm::Value result) override;
 
     sim::Simulation &sim_;
     net::Network &net_;
@@ -191,7 +193,6 @@ class BeeHiveServer
     PackageableRegistry packageables_;
     std::unique_ptr<gc::SemiSpaceCollector> collector_;
     std::unique_ptr<snapshot::SnapshotStore> snapshots_;
-    std::unique_ptr<vm::RaceOracle> race_oracle_;
 
     std::map<uint16_t, std::unique_ptr<MappingTable>> mappings_;
     std::map<uint16_t, net::EndpointId> fn_nodes_;
@@ -215,27 +216,15 @@ class BeeHiveServer
     /** Admit queued requests as threads free up. */
     void drainQueue();
 
-    std::set<LocalInvocation *> active_;
+    /** Admitted requests, by address (the GC visits them in
+     * this order). */
+    std::map<const Invocation *, Invocation::Ptr> active_;
     std::deque<QueuedRequest> queue_;
     OffloadDispatch offload_dispatch_;
     bool profiling_ = false;
     ServerStats stats_;
     uint32_t track_ = 0;
 };
-
-/**
- * Materialize a database response as VM objects in @p ctx's heap:
- * reads yield an array of byte objects (one per row), writes yield
- * the affected-row count.
- */
-vm::Value materializeDbResponse(vm::VmContext &ctx,
-                                const db::Request &req,
-                                const db::Response &resp);
-
-/** Like materializeDbResponse but reports heap exhaustion. */
-std::optional<vm::Value>
-tryMaterializeDbResponse(vm::VmContext &ctx, const db::Request &req,
-                         const db::Response &resp);
 
 } // namespace beehive::core
 

@@ -159,7 +159,7 @@ class VmContext
     void setNativePolicy(NativePolicy p) { native_policy_ = std::move(p); }
     void setProfiler(Profiler *p) { profiler_ = p; }
     Profiler *profiler() { return profiler_; }
-    /** Dynamic race oracle (race_check knob); null = not tracking. */
+    /** Dynamic race oracle; null (the default) = not tracking. */
     void setRaceOracle(RaceOracle *o) { race_oracle_ = o; }
     RaceOracle *raceOracle() { return race_oracle_; }
 

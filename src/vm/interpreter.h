@@ -4,18 +4,22 @@
  *
  * The interpreter keeps its call frames in an explicit stack and can
  * suspend at any instruction boundary, returning a typed Suspend
- * describing why:
+ * describing why. One invocation driver (core::Invocation) serves
+ * these suspensions on the server and on every function instance:
  *
  *   - Quantum: the configured compute budget was consumed; the
- *     endpoint driver charges the accumulated cost to the simulated
- *     CPU and resumes, giving processor-sharing fidelity;
+ *     driver charges the accumulated cost to the endpoint's
+ *     simulated CPU and resumes, giving processor-sharing fidelity;
  *   - ClassFault / ObjectFault: the paper's missing-code and
  *     missing-data fallbacks (Section 3.1); the instruction is NOT
  *     advanced, so resolving the fault and calling run() retries it;
  *   - NativeFallback: a native call this endpoint may not run
  *     locally (Section 3.2);
- *   - MonitorAcquire: the monitor's last owner is another endpoint,
- *     so a JMM-style synchronization is required (Section 4.2);
+ *   - MonitorAcquire / MonitorRelease / VolatileSync: a shared
+ *     object's monitor or volatile needs a JMM-style
+ *     synchronization through the server (Section 4.2);
+ *   - HeapFull: an allocation failed; the driver runs a GC;
+ *   - OffloadCall: a server call site was redirected to FaaS;
  *   - External: a native requested an external operation (e.g. a
  *     database round trip via the proxy); resume with
  *     resumeExternal() once the driver has the result;
@@ -184,7 +188,7 @@ class Interpreter
     void clearRecording();
     /// @}
 
-    /** @name Dynamic race oracle (race_check knob) */
+    /** @name Dynamic race oracle (VmContext::setRaceOracle) */
     /// @{
     /**
      * Execution-context id in the context's RaceOracle. start()

@@ -42,7 +42,7 @@ struct NativeResult
     /**
      * When set, the interpreter suspends with an External request
      * carrying this payload instead of completing the call; the
-     * endpoint driver performs the operation (e.g. a database round
+     * invocation driver performs the operation (e.g. a database round
      * trip via the proxy) and resumes with the real return value.
      * Handlers must not mutate the heap before requesting external
      * completion.

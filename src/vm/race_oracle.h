@@ -3,9 +3,10 @@
  * FastTrack-style dynamic race oracle.
  *
  * The runtime half of the race-detection pair (the static half is
- * vm/race_analysis.h): when the `race_check` knob is on, every
- * interpreter reports its monitor operations and heap accesses here
- * and the oracle maintains vector clocks -- one per execution
+ * vm/race_analysis.h): once installed on a VmContext
+ * (VmContext::setRaceOracle), every interpreter on it reports its
+ * monitor operations and heap accesses here and the oracle
+ * maintains vector clocks -- one per execution
  * context (request thread or offloaded shadow thread), one per
  * monitor object, plus a shadow word per accessed location (object
  * field, static slot, or array object). A write that is not ordered

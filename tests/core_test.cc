@@ -1,16 +1,19 @@
 /**
  * @file
  * Unit tests for the BeeHive core: mapping tables, the sync
- * manager, closure construction/installation, and the server
- * runtime's local execution path.
+ * manager, closure construction/installation, the server runtime's
+ * local execution path, and the invocation driver's shared paths on
+ * both endpoints.
  */
 
 #include <gtest/gtest.h>
 
+#include "cloud/faas.h"
 #include "cloud/instance.h"
 #include "core/closure.h"
 #include "core/config.h"
 #include "core/external.h"
+#include "core/function.h"
 #include "core/mapping.h"
 #include "core/server.h"
 #include "core/sync.h"
@@ -766,6 +769,190 @@ TEST_F(CoreTest, DbCallFromServerRoutesThroughProxy)
     EXPECT_EQ(proxy.stats().requests_routed, 1u);
 }
 
+// ---------------------------------------------------------------------
+// Invocation driver paths, run on both endpoints
+// ---------------------------------------------------------------------
+
+/** Where the request under test executes. */
+enum class EndpointKind
+{
+    ServerLocal,  //!< BeeHiveServer::handleLocal
+    WarmFunction, //!< a BeeHiveFunction that already ran the handler
+};
+
+class DriverPathTest : public CoreTest,
+                       public ::testing::WithParamInterface<EndpointKind>
+{
+  protected:
+    void
+    SetUp() override
+    {
+        uint32_t nid = natives.add(
+            "socketWrite0", vm::NativeCategory::Network,
+            [](vm::VmContext &ctx, std::vector<Value> &args) {
+                vm::NativeResult r;
+                DbCallPayload payload;
+                payload.conn_ref = args[0].asRef();
+                payload.conn_token = static_cast<uint64_t>(
+                    ctx.heap()
+                        .field(args[0].asRef(), kSocketFieldToken)
+                        .asInt());
+                payload.request =
+                    db::Request(db::OpKind::Put, "t", args[1].asInt());
+                payload.request.row.fields["body"] = "x";
+                r.external = std::any(payload);
+                return r;
+            });
+        vm::Klass sock;
+        sock.name = "Sock";
+        sock.fields = {"token"};
+        vm::KlassId sock_k = program.addKlass(sock);
+        vm::Method m;
+        m.name = "write0";
+        m.num_args = 2;
+        m.is_native = true;
+        m.native_id = nid;
+        m.native_category = vm::NativeCategory::Network;
+        vm::MethodId write0 = program.addMethod(sock_k, m);
+
+        // lockedWrite(sock, lock, id): enter lock's monitor, write
+        // row `id` through the socket, leave the monitor, return the
+        // rows affected.
+        vm::CodeBuilder b(program, node_k, "lockedWrite", 3);
+        b.locals(1);
+        b.load(1).monitorEnter();
+        b.load(0).load(2).call(write0).store(3);
+        b.load(1).monitorExit();
+        b.load(3).ret();
+        root = b.build();
+        makeServer();
+
+        proxy::ConnId conn = proxy.openConnection(server->endpoint());
+        sock_obj = server->heap().allocPlain(sock_k);
+        server->heap().setField(
+            sock_obj, kSocketFieldToken,
+            Value::ofInt(static_cast<int64_t>(conn)));
+        lock_obj = server->heap().allocPlain(node_k);
+
+        if (GetParam() == EndpointKind::WarmFunction) {
+            instance.machine = std::make_unique<cloud::Instance>(
+                sim, net, cloud::m4Large(), "fn", "vpc");
+            fn = std::make_unique<BeeHiveFunction>(*server, instance);
+        }
+    }
+
+    /**
+     * Run lockedWrite(id) to completion on the endpoint under test;
+     * returns its result. A nonzero @p request_key keys the write.
+     */
+    Value
+    run(int64_t id, uint64_t request_key)
+    {
+        bool done = false;
+        Value result;
+        if (fn) {
+            // The lock travels as a server address: the function
+            // faults it in, which maps it and makes it shared.
+            fn->invoke(root,
+                       {Value::ofRef(sock_obj),
+                        Value::ofRef(vm::markRemote(lock_obj)),
+                        Value::ofInt(id)},
+                       /*shadow=*/false,
+                       [&](Value v, const RequestTrace &t) {
+                           result = v;
+                           trace = t;
+                           done = true;
+                       },
+                       request_key);
+        } else {
+            server->handleLocal(root,
+                                {Value::ofRef(sock_obj),
+                                 Value::ofRef(lock_obj),
+                                 Value::ofInt(id)},
+                                [&](Value v) {
+                                    result = v;
+                                    done = true;
+                                },
+                                /*suppress_offload=*/false,
+                                request_key);
+        }
+        sim.runUntil(sim.now() + sim::SimTime::sec(5));
+        EXPECT_TRUE(done);
+        return result;
+    }
+
+    vm::MethodId root = vm::kNoMethod;
+    Ref sock_obj = vm::kNullRef, lock_obj = vm::kNullRef;
+    cloud::FunctionInstance instance;
+    std::unique_ptr<BeeHiveFunction> fn;
+    RequestTrace trace;
+};
+
+TEST_P(DriverPathTest, ResetKeyedWriteIsReissuedAndAppliedOnce)
+{
+    // Warm the endpoint (code, lock mapping, JIT) with an unkeyed
+    // write, then measure a keyed one whose first two attempts are
+    // reset.
+    EXPECT_EQ(run(1, 0).asInt(), 1);
+
+    std::vector<sim::SimTime> resets;
+    sim::SimTime applied_at;
+    uint64_t applied = 0;
+    store.setFaultHook([&](const db::Request &) {
+        if (resets.size() == 2)
+            return false;
+        resets.push_back(sim.now());
+        return true;
+    });
+    store.setWriteObserver([&](const db::Request &) {
+        ++applied;
+        applied_at = sim.now();
+    });
+
+    EXPECT_EQ(run(2, /*request_key=*/77).asInt(), 1);
+    ASSERT_EQ(resets.size(), 2u);
+    EXPECT_EQ(applied, 1u);
+    EXPECT_EQ(store.tableSize("t"), 2u);
+    EXPECT_EQ(proxy.stats().connection_resets, 2u);
+    // The write carried an idempotency key and reached the store once.
+    EXPECT_EQ(proxy.stats().idem_writes_applied, 1u);
+    EXPECT_EQ(proxy.stats().dup_writes_suppressed, 0u);
+    // Each re-issue waits out the failed round trip, the reconnect
+    // and a backoff that starts at 400 us and doubles per attempt.
+    sim::SimTime first_gap = resets[1] - resets[0];
+    sim::SimTime second_gap = applied_at - resets[1];
+    EXPECT_GE(first_gap,
+              proxy.reconnectPenalty() + sim::SimTime::usec(400));
+    EXPECT_EQ(second_gap - first_gap, sim::SimTime::usec(400));
+    if (fn) {
+        EXPECT_EQ(trace.db_resets, 2u);
+    }
+}
+
+TEST_P(DriverPathTest, MonitorRoundTripCompletes)
+{
+    EXPECT_EQ(run(1, 0).asInt(), 1);
+    EXPECT_EQ(run(2, 0).asInt(), 1);
+    // Every acquire was matched by a release through the sync table.
+    EXPECT_EQ(server->sync().heldMonitors(), 0u);
+    if (fn) {
+        // On the function the shared monitor is a sync fallback.
+        EXPECT_EQ(trace.sync_fallbacks, 1u);
+        EXPECT_TRUE(fn->warmedFor(root));
+    }
+    EXPECT_EQ(store.tableSize("t"), 2u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Endpoints, DriverPathTest,
+    ::testing::Values(EndpointKind::ServerLocal,
+                      EndpointKind::WarmFunction),
+    [](const ::testing::TestParamInfo<EndpointKind> &info) {
+        return info.param == EndpointKind::ServerLocal
+                   ? std::string("ServerLocal")
+                   : std::string("WarmFunction");
+    });
+
 TEST_F(CoreTest, ServerGcKeepsMappingTableTargetsAlive)
 {
     makeServer();
@@ -930,19 +1117,21 @@ TEST_F(CoreTest, MaterializeDbResponseShapes)
     row.fields["body"] = "hello";
     resp.rows.push_back(row);
 
-    Value v = materializeDbResponse(server->context(), get, resp);
-    ASSERT_TRUE(v.isRef());
+    std::optional<Value> v =
+        tryMaterializeDbResponse(server->context(), get, resp);
+    ASSERT_TRUE(v.has_value());
+    ASSERT_TRUE(v->isRef());
     vm::Heap &heap = server->heap();
-    EXPECT_EQ(heap.count(v.asRef()), 1u);
-    Ref cell = heap.elem(v.asRef(), 0).asRef();
+    EXPECT_EQ(heap.count(v->asRef()), 1u);
+    Ref cell = heap.elem(v->asRef(), 0).asRef();
     EXPECT_EQ(heap.bytes(cell), "1|body=hello");
 
     db::Request put(db::OpKind::Put, "t", 2);
     db::Response wr;
     wr.ok = true;
     wr.count = 1;
-    EXPECT_EQ(materializeDbResponse(server->context(), put, wr)
-                  .asInt(),
+    EXPECT_EQ(tryMaterializeDbResponse(server->context(), put, wr)
+                  ->asInt(),
               1);
 }
 
