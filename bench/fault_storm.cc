@@ -16,8 +16,10 @@
  * as the fault-free baseline.
  *
  * Results go to stdout and to BENCH_faults.json in the working
- * directory; the last line is a machine-greppable summary and the
- * exit status is nonzero when any request was dropped.
+ * directory (BENCH_faults_quick.json with --quick, so a quick run
+ * never overwrites the committed full sweep); the last line is a
+ * machine-greppable summary and the exit status is nonzero when any
+ * request was dropped.
  */
 
 #include <cstdio>
@@ -124,9 +126,11 @@ writeJson(const BenchArgs &args,
           const std::vector<std::pair<std::string, StormResult>> &runs,
           bool ok)
 {
-    std::FILE *json = std::fopen("BENCH_faults.json", "w");
+    const char *path =
+        args.quick ? "BENCH_faults_quick.json" : "BENCH_faults.json";
+    std::FILE *json = std::fopen(path, "w");
     if (!json) {
-        std::fprintf(stderr, "could not write BENCH_faults.json\n");
+        std::fprintf(stderr, "could not write %s\n", path);
         return;
     }
     std::fprintf(json, "{\n  \"seed\": %llu,\n  \"quick\": %s,\n",

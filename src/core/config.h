@@ -65,8 +65,10 @@ struct BeeHiveConfig
     /**
      * Heap sizes of a function-side VM. Closures and per-request
      * allocations are small (Section 5.6: a few MB of peak heap per
-     * function), so modest arenas keep hundreds of simulated
-     * function VMs affordable in one process.
+     * function). These are reserved sizes: an arena's pages are
+     * committed when first touched, so an instance costs what its
+     * objects use and hundreds of simulated function VMs fit in one
+     * process.
      */
     std::size_t function_closure_bytes = 6u << 20;
     std::size_t function_alloc_bytes = 6u << 20;

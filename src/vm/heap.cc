@@ -19,7 +19,9 @@ alignUp(uint32_t bytes)
 } // namespace
 
 Space::Space(uint8_t id, std::size_t capacity)
-    : id_(id), mem_(capacity), top_(firstOffset())
+    : id_(id), capacity_(capacity),
+      mem_(std::make_unique_for_overwrite<uint8_t[]>(capacity)),
+      top_(firstOffset())
 {
     bh_assert(capacity > firstOffset(), "space too small");
 }
@@ -28,7 +30,7 @@ uint64_t
 Space::alloc(uint32_t bytes)
 {
     bytes = alignUp(bytes);
-    if (top_ + bytes > mem_.size())
+    if (top_ + bytes > capacity_)
         return 0;
     uint64_t offset = top_;
     top_ += bytes;
@@ -38,19 +40,19 @@ Space::alloc(uint32_t bytes)
 uint8_t *
 Space::at(uint64_t offset)
 {
-    bh_assert(offset >= firstOffset() && offset < mem_.size(),
+    bh_assert(offset >= firstOffset() && offset < capacity_,
               "offset %llu out of space %u",
               static_cast<unsigned long long>(offset), id_);
-    return mem_.data() + offset;
+    return mem_.get() + offset;
 }
 
 const uint8_t *
 Space::at(uint64_t offset) const
 {
-    bh_assert(offset >= firstOffset() && offset < mem_.size(),
+    bh_assert(offset >= firstOffset() && offset < capacity_,
               "offset %llu out of space %u",
               static_cast<unsigned long long>(offset), id_);
-    return mem_.data() + offset;
+    return mem_.get() + offset;
 }
 
 CardTable::CardTable(std::size_t space_capacity)
@@ -148,6 +150,8 @@ Heap::allocObject(uint8_t space_id, KlassId klass, ObjKind kind,
     hdr->kind = kind;
     hdr->count = count;
     hdr->size = total;
+    // The arena is not zeroed: this fill is what hides the stale
+    // bytes of a reset semispace or a recycled block.
     if (kind != ObjKind::Bytes) {
         Value *s = slots(ref);
         for (uint32_t i = 0; i < count; ++i)

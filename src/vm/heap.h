@@ -24,6 +24,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -62,7 +63,15 @@ struct ObjHeader
 
 static_assert(sizeof(ObjHeader) == 24, "header layout drifted");
 
-/** One contiguous arena. Offsets start at 8 so 0 stays null. */
+/**
+ * One contiguous arena. Offsets start at 8 so 0 stays null.
+ *
+ * The backing memory is allocated but never initialized: the OS
+ * commits a page only when the bump pointer first reaches it, so an
+ * arena costs what its objects touch, not its capacity. In turn no
+ * code may read arena bytes that an allocation did not write (after
+ * reset() a semispace still holds the previous cycle's objects).
+ */
 class Space
 {
   public:
@@ -79,7 +88,7 @@ class Space
 
     uint8_t id() const { return id_; }
     std::size_t used() const { return top_; }
-    std::size_t capacity() const { return mem_.size(); }
+    std::size_t capacity() const { return capacity_; }
 
     /** Offset where iteration of allocated objects begins. */
     static constexpr uint64_t firstOffset() { return 8; }
@@ -89,7 +98,8 @@ class Space
 
   private:
     uint8_t id_;
-    std::vector<uint8_t> mem_;
+    std::size_t capacity_;
+    std::unique_ptr<uint8_t[]> mem_;
     std::size_t top_;
 };
 

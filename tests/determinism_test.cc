@@ -71,6 +71,22 @@ TEST(Determinism, BurstRunTwiceIsIdentical)
     expectSameBurstResult(first, second);
 }
 
+TEST(Determinism, BurstOverRecycledHeapBlocksIsIdentical)
+{
+    // VM heap arenas are not zeroed, so the second run's server and
+    // function heaps sit partly on blocks the first run's destroyed
+    // Testbed handed back to malloc, stale bytes included. Nothing an
+    // allocation did not write may reach a result.
+    BurstOptions opts = quickBurstOptions(Solution::BeeHiveO);
+    opts.app = AppKind::Pybbs;
+    BurstResult first = runBurstExperiment(opts);
+    ASSERT_GT(first.completed_requests, 0u);
+    ASSERT_GT(first.cold_boots, 0u);
+    BurstResult second = runBurstExperiment(opts);
+    expectSameBurstResult(first, second);
+    EXPECT_EQ(first.offload.offloaded, second.offload.offloaded);
+}
+
 TEST(Determinism, ThroughputPointRunTwiceIsIdentical)
 {
     ThroughputOptions opts;

@@ -6,7 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <set>
+#include <string>
+#include <unistd.h>
 #include <vector>
 
 #include "gc/collector.h"
@@ -247,6 +250,110 @@ TEST_F(GcTest, AllocationSucceedsAfterCollection)
         EXPECT_GT(stats.bytes_freed, 0u);
     }
     EXPECT_GT(total_allocated, 1000);
+}
+
+TEST_F(GcTest, RecycledSemispaceReadsOnlyWhatAllocationsWrote)
+{
+    // Arena memory is never zeroed: a semispace reset by a collection
+    // still holds the last cycle's bytes. Fill both semispaces with
+    // non-nil ints, refs and bytes, collect each away, then allocate
+    // over the reused memory of the first one.
+    Heap small(program, 1 << 16, 1 << 14);
+    SemiSpaceCollector gc(small);
+    const uint8_t reused = small.allocSpaceId();
+    const std::string stale(40, '\xa5');
+    std::size_t stale_top = 0;
+    for (int round = 0; round < 2; ++round) {
+        Ref prev = vm::kNullRef;
+        for (int i = 0;; ++i) {
+            Ref r = i % 3 == 0   ? small.allocPlain(node_k)
+                    : i % 3 == 1 ? small.allocArray(node_k, 1 + i % 7)
+                                 : small.allocBytes(blob_k, stale);
+            if (r == vm::kNullRef)
+                break;
+            if (i % 3 == 2)
+                continue;
+            for (uint32_t f = 0; f < small.count(r); ++f) {
+                small.setField(r, f,
+                               f % 2 == 0 && prev != vm::kNullRef
+                                   ? Value::ofRef(prev)
+                                   : Value::ofInt(-1 - i));
+            }
+            prev = r;
+        }
+        if (round == 0)
+            stale_top = small.space(reused).used();
+        gc.collect();
+    }
+    ASSERT_EQ(small.allocSpaceId(), reused);
+    ASSERT_EQ(small.space(reused).used(), vm::Space::firstOffset());
+
+    // Every slot of a fresh object reads nil and every byte object
+    // reads back exactly what was written, in all the reused memory.
+    std::vector<Ref> slotted;
+    std::vector<std::pair<Ref, std::string>> blobs;
+    for (int i = 0;; ++i) {
+        Ref r;
+        if (i % 3 == 2) {
+            std::string data(static_cast<std::size_t>(i % 23),
+                             static_cast<char>('a' + i % 26));
+            r = small.allocBytes(blob_k, data);
+            if (r != vm::kNullRef)
+                blobs.emplace_back(r, data);
+        } else {
+            r = i % 3 == 0
+                    ? small.allocPlain(node_k)
+                    : small.allocArray(node_k,
+                                       static_cast<uint32_t>(i % 11));
+            if (r != vm::kNullRef)
+                slotted.push_back(r);
+        }
+        if (r == vm::kNullRef)
+            break;
+    }
+    // The new objects cover all of the memory the first fill wrote.
+    ASSERT_GE(small.space(reused).used() + 256, stale_top);
+    ASSERT_GT(slotted.size(), 100u);
+    for (Ref r : slotted) {
+        EXPECT_EQ(small.header(r).forward, vm::kNullRef);
+        for (uint32_t f = 0; f < small.count(r); ++f) {
+            Value v = small.field(r, f);
+            EXPECT_TRUE(v.isNil());
+            EXPECT_EQ(v.bits, 0u);
+        }
+    }
+    for (const auto &[r, data] : blobs)
+        EXPECT_EQ(small.bytes(r), data);
+}
+
+/** Resident set size of this process in bytes, or -1 without /proc. */
+long long
+residentBytes()
+{
+    std::FILE *f = std::fopen("/proc/self/statm", "r");
+    if (!f)
+        return -1;
+    long long size = 0, resident = -1;
+    if (std::fscanf(f, "%lld %lld", &size, &resident) != 2)
+        resident = -1;
+    std::fclose(f);
+    return resident < 0 ? -1 : resident * sysconf(_SC_PAGESIZE);
+}
+
+TEST_F(GcTest, ArenaPagesAreCommittedOnFirstTouch)
+{
+    if (residentBytes() < 0)
+        GTEST_SKIP() << "/proc/self/statm is not available";
+    constexpr std::size_t kSemispace = std::size_t{256} << 20;
+    constexpr long long kLimit = 32LL << 20;
+    long long before = residentBytes();
+    Heap big(program, 1 << 20, kSemispace);
+    EXPECT_LT(residentBytes() - before, kLimit)
+        << "constructing 2 x 256 MB semispaces committed their pages";
+    for (int i = 0; i < 1000; ++i)
+        ASSERT_NE(big.allocPlain(node_k), vm::kNullRef);
+    EXPECT_LT(residentBytes() - before, kLimit);
+    EXPECT_EQ(big.space(big.allocSpaceId()).capacity(), kSemispace);
 }
 
 TEST_F(GcTest, PauseModelScalesWithCopiedBytes)
