@@ -48,7 +48,7 @@ BeeHiveFunction::BeeHiveFunction(BeeHiveServer &server,
     // natives need a packed Packageable receiver.
     ctx_->setNativePolicy(
         [this](const vm::NativeMethod &native,
-               const std::vector<Value> &args) {
+               std::span<const Value> args) {
             switch (native.category) {
               case vm::NativeCategory::PureOnHeap:
               case vm::NativeCategory::Stateless:

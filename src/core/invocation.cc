@@ -117,7 +117,7 @@ Invocation::pump()
     double cost = interp_.consumeCost();
     cpu_work_ += cost;
     if (cost > 0.0) {
-        ep_.cpu().submit(cost, [self = Ptr(this), s] {
+        ep_.cpu().submit(cost, [self = Ptr(this), s = std::move(s)] {
             if (self->live_)
                 self->dispatch(s);
         });

@@ -73,7 +73,9 @@ class BeeHiveServer : private Endpoint
     /// @{
     sim::Simulation &sim() { return sim_; }
     net::Network &network() { return net_; }
-    vm::Program &program() { return program_; }
+    /** Read-only: the non-const Program::klass()/method() accessors
+     * would invalidate the frozen dispatch tables. */
+    const vm::Program &program() const { return program_; }
     vm::NativeRegistry &natives() { return natives_; }
     vm::VmContext &context() { return *ctx_; }
     vm::Heap &heap() { return *heap_; }

@@ -1,5 +1,6 @@
 #include "support/logging.h"
 
+#include <cstdarg>
 #include <cstdio>
 
 namespace beehive {
@@ -55,6 +56,19 @@ void
 fatalExit()
 {
     std::exit(1);
+}
+
+void
+assertFailed(const char *where, const char *cond, const char *fmt, ...)
+{
+    va_list args;
+    va_start(args, fmt);
+    char msg[512];
+    std::vsnprintf(msg, sizeof msg, fmt, args);
+    va_end(args);
+    logMessage(LogLevel::Panic, where,
+               strprintf("assertion failed: %s %s", cond, msg));
+    panicExit();
 }
 
 } // namespace detail

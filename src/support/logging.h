@@ -35,6 +35,14 @@ void logMessage(LogLevel level, const char *where, const std::string &msg);
 [[noreturn]] void panicExit();
 [[noreturn]] void fatalExit();
 
+/**
+ * Out-of-line failure path of bh_assert_hot(): formats the message,
+ * reports it like bh_assert() would and aborts.
+ */
+[[noreturn, gnu::cold, gnu::noinline]] void
+assertFailed(const char *where, const char *cond, const char *fmt, ...)
+    __attribute__((format(printf, 3, 4)));
+
 } // namespace detail
 
 /** Suppress inform()/warn() output (used by quiet benches). */
@@ -79,6 +87,18 @@ void setLogQuiet(bool quiet);
             panic("assertion failed: %s %s", #cond,                         \
                   ::beehive::strprintf("" __VA_ARGS__).c_str());            \
         }                                                                   \
+    } while (0)
+
+/**
+ * bh_assert() for hot paths: the same condition, checked on every
+ * pass, but the message is formatted in a cold out-of-line function
+ * so the caller's fast path carries only a compare and a branch.
+ */
+#define bh_assert_hot(cond, ...)                                            \
+    do {                                                                    \
+        if (!(cond)) [[unlikely]]                                           \
+            ::beehive::detail::assertFailed(BEEHIVE_WHERE, #cond,           \
+                                            "" __VA_ARGS__);                \
     } while (0)
 
 #endif // BEEHIVE_SUPPORT_LOGGING_H

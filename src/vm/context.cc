@@ -1,5 +1,7 @@
 #include "vm/context.h"
 
+#include <algorithm>
+
 #include "support/logging.h"
 #include "vm/profiler.h"
 
@@ -8,15 +10,9 @@ namespace beehive::vm {
 VmContext::VmContext(const Program &program, NativeRegistry &natives,
                      Heap &heap, VmConfig config)
     : program_(program), natives_(natives), heap_(heap),
-      config_(config), loaded_(program.klassCount(), false)
+      config_(config), loaded_(program.klassCount(), false),
+      invocation_counts_(program.methodCount(), 0)
 {
-}
-
-bool
-VmContext::isLoaded(KlassId id) const
-{
-    bh_assert(id < loaded_.size(), "bad klass id");
-    return loaded_[id];
 }
 
 void
@@ -82,33 +78,32 @@ VmContext::lookupRemote(Ref remote) const
     return it == remote_map_.end() ? kNullRef : it->second;
 }
 
-double
-VmContext::methodEntered(MethodId id)
+void
+VmContext::growInvocationCounts(MethodId id)
 {
-    uint64_t &count = invocation_counts_[id];
-    double mult = count < config_.jit_threshold ? config_.cold_multiplier
-                                                : 1.0;
-    ++count;
-    return mult;
+    // Methods added after the context was built (tests do this).
+    invocation_counts_.resize(
+        std::max<std::size_t>(program_.methodCount(),
+                              static_cast<std::size_t>(id) + 1),
+        0);
 }
 
 double
 VmContext::costMultiplier(MethodId id) const
 {
-    auto it = invocation_counts_.find(id);
-    uint64_t count = it == invocation_counts_.end() ? 0 : it->second;
-    return count < config_.jit_threshold ? config_.cold_multiplier : 1.0;
+    return invocations(id) < config_.jit_threshold
+               ? config_.cold_multiplier
+               : 1.0;
 }
 
 uint64_t
 VmContext::invocations(MethodId id) const
 {
-    auto it = invocation_counts_.find(id);
-    return it == invocation_counts_.end() ? 0 : it->second;
+    return id < invocation_counts_.size() ? invocation_counts_[id] : 0;
 }
 
 VmContext::InlineCache &
-VmContext::inlineCache(MethodId m, uint32_t pc)
+VmContext::allocInlineCache(MethodId m, uint32_t pc)
 {
     if (ic_lines_.size() <= m) {
         // Size for the whole program at once so later methods do not

@@ -14,9 +14,11 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
+#include "support/logging.h"
 #include "vm/heap.h"
 #include "vm/natives.h"
 #include "vm/program.h"
@@ -85,7 +87,7 @@ class VmContext
      * Installed by the BeeHive runtime; null means RunLocal.
      */
     using NativePolicy = std::function<NativeDisposition(
-        const NativeMethod &native, const std::vector<Value> &args)>;
+        const NativeMethod &native, std::span<const Value> args)>;
 
     VmContext(const Program &program, NativeRegistry &natives,
               Heap &heap, VmConfig config);
@@ -98,7 +100,12 @@ class VmContext
 
     /** @name Klass loading */
     /// @{
-    bool isLoaded(KlassId id) const;
+    bool
+    isLoaded(KlassId id) const
+    {
+        bh_assert_hot(id < loaded_.size(), "bad klass id");
+        return loaded_[id];
+    }
     /** Install a klass (fault resolution or initial closure). */
     void loadKlass(KlassId id);
     /** Load every klass in the program (server startup). */
@@ -126,7 +133,18 @@ class VmContext
     /** @name Warmup model */
     /// @{
     /** Count an invocation; returns the cost multiplier to apply. */
-    double methodEntered(MethodId id);
+    double
+    methodEntered(MethodId id)
+    {
+        if (id >= invocation_counts_.size()) [[unlikely]]
+            growInvocationCounts(id);
+        uint64_t &count = invocation_counts_[id];
+        double mult = count < config_.jit_threshold
+                          ? config_.cold_multiplier
+                          : 1.0;
+        ++count;
+        return mult;
+    }
     /** Current multiplier without counting. */
     double costMultiplier(MethodId id) const;
     uint64_t invocations(MethodId id) const;
@@ -174,7 +192,7 @@ class VmContext
     }
     NativeDisposition
     nativeDisposition(const NativeMethod &native,
-                      const std::vector<Value> &args) const
+                      std::span<const Value> args) const
     {
         return native_policy_ ? native_policy_(native, args)
                               : NativeDisposition::RunLocal;
@@ -208,7 +226,13 @@ class VmContext
     };
 
     /** Cache line for pc @p pc of method @p m (lazily allocated). */
-    InlineCache &inlineCache(MethodId m, uint32_t pc);
+    InlineCache &
+    inlineCache(MethodId m, uint32_t pc)
+    {
+        if (m < ic_lines_.size() && pc < ic_lines_[m].size()) [[likely]]
+            return ic_lines_[m][pc];
+        return allocInlineCache(m, pc);
+    }
 
     /** Endpoint-wide dispatch counters (summed over interpreters). */
     void countDispatch(bool hit)
@@ -237,6 +261,9 @@ class VmContext
     void resetNativeCounts() { native_counts_.fill(0); }
 
   private:
+    void growInvocationCounts(MethodId id);
+    InlineCache &allocInlineCache(MethodId m, uint32_t pc);
+
     const Program &program_;
     NativeRegistry &natives_;
     Heap &heap_;
@@ -246,7 +273,8 @@ class VmContext
     std::size_t loaded_count_ = 0;
     std::map<KlassId, std::vector<Value>> statics_;
     std::unordered_map<Ref, Ref> remote_map_;
-    std::unordered_map<MethodId, uint64_t> invocation_counts_;
+    /** Invocations per method id (dense: ids are small). */
+    std::vector<uint64_t> invocation_counts_;
 
     OffloadPolicy offload_policy_;
     MonitorPolicy monitor_policy_;

@@ -37,24 +37,6 @@ Space::alloc(uint32_t bytes)
     return offset;
 }
 
-uint8_t *
-Space::at(uint64_t offset)
-{
-    bh_assert(offset >= firstOffset() && offset < capacity_,
-              "offset %llu out of space %u",
-              static_cast<unsigned long long>(offset), id_);
-    return mem_.get() + offset;
-}
-
-const uint8_t *
-Space::at(uint64_t offset) const
-{
-    bh_assert(offset >= firstOffset() && offset < capacity_,
-              "offset %llu out of space %u",
-              static_cast<unsigned long long>(offset), id_);
-    return mem_.get() + offset;
-}
-
 CardTable::CardTable(std::size_t space_capacity)
     : dirty_((space_capacity + kCardBytes - 1) / kCardBytes, false)
 {
@@ -104,21 +86,10 @@ Heap::Heap(const Program &program, std::size_t closure_capacity,
 {
 }
 
-Space &
-Heap::space(uint8_t id)
+void
+Heap::badSpace(uint8_t id) const
 {
-    switch (id) {
-      case kClosureSpaceId: return closure_;
-      case kAllocAId: return alloc_a_;
-      case kAllocBId: return alloc_b_;
-    }
     panic("bad space id %u", id);
-}
-
-const Space &
-Heap::space(uint8_t id) const
-{
-    return const_cast<Heap *>(this)->space(id);
 }
 
 void
@@ -194,70 +165,6 @@ Heap::allocBytes(KlassId klass, std::string_view data, bool in_closure)
     return ref;
 }
 
-ObjHeader &
-Heap::header(Ref r)
-{
-    bh_assert(r != kNullRef, "null deref");
-    bh_assert(!isRemote(r), "header() on remote ref");
-    return *reinterpret_cast<ObjHeader *>(
-        space(refSpace(r)).at(refOffset(r)));
-}
-
-const ObjHeader &
-Heap::header(Ref r) const
-{
-    return const_cast<Heap *>(this)->header(r);
-}
-
-Value *
-Heap::slots(Ref r)
-{
-    return reinterpret_cast<Value *>(
-        space(refSpace(r)).at(refOffset(r)) + sizeof(ObjHeader));
-}
-
-const Value *
-Heap::slots(Ref r) const
-{
-    return const_cast<Heap *>(this)->slots(r);
-}
-
-Value
-Heap::field(Ref obj, uint32_t idx) const
-{
-    const ObjHeader &hdr = header(obj);
-    bh_assert(hdr.kind != ObjKind::Bytes, "field access on bytes");
-    bh_assert(idx < hdr.count, "field index %u out of %u in %s", idx,
-              hdr.count, program_.klass(hdr.klass).name.c_str());
-    return slots(obj)[idx];
-}
-
-void
-Heap::setFieldRaw(Ref obj, uint32_t idx, Value v)
-{
-    ObjHeader &hdr = header(obj);
-    bh_assert(hdr.kind != ObjKind::Bytes, "field store on bytes");
-    bh_assert(idx < hdr.count, "field index %u out of %u", idx,
-              hdr.count);
-    slots(obj)[idx] = v;
-    // Card marking: a closure-space object now (possibly) references
-    // an allocation-space object; the collector must treat this card
-    // as a root region.
-    if (refSpace(obj) == kClosureSpaceId && v.isRef() &&
-        v.asRef() != kNullRef && !isRemote(v.asRef()) &&
-        refSpace(v.asRef()) != kClosureSpaceId) {
-        cards_.mark(refOffset(obj));
-    }
-}
-
-void
-Heap::setField(Ref obj, uint32_t idx, Value v)
-{
-    setFieldRaw(obj, idx, v);
-    if (observer_)
-        observer_(obj);
-}
-
 Ref
 Heap::cloneObject(Ref src, uint8_t dst_space)
 {
@@ -290,12 +197,6 @@ Heap::bytes(Ref r) const
         reinterpret_cast<const char *>(
             space(refSpace(r)).at(refOffset(r)) + sizeof(ObjHeader)),
         hdr.count);
-}
-
-uint32_t
-Heap::count(Ref r) const
-{
-    return header(r).count;
 }
 
 bool

@@ -29,6 +29,7 @@
 #include <string_view>
 #include <vector>
 
+#include "support/logging.h"
 #include "vm/program.h"
 #include "vm/value.h"
 
@@ -83,8 +84,19 @@ class Space
      */
     uint64_t alloc(uint32_t bytes);
 
-    uint8_t *at(uint64_t offset);
-    const uint8_t *at(uint64_t offset) const;
+    uint8_t *
+    at(uint64_t offset)
+    {
+        bh_assert_hot(offset >= firstOffset() && offset < capacity_,
+                      "offset %llu out of space %u",
+                      static_cast<unsigned long long>(offset), id_);
+        return mem_.get() + offset;
+    }
+    const uint8_t *
+    at(uint64_t offset) const
+    {
+        return const_cast<Space *>(this)->at(offset);
+    }
 
     uint8_t id() const { return id_; }
     std::size_t used() const { return top_; }
@@ -174,10 +186,15 @@ class Heap
                    bool in_closure = false);
     /// @}
 
-    /** @name Object access */
+    /** @name Object access
+     * The accessors the interpreter runs on every field and header
+     * touch are defined inline below. */
     /// @{
     ObjHeader &header(Ref r);
-    const ObjHeader &header(Ref r) const;
+    const ObjHeader &header(Ref r) const
+    {
+        return const_cast<Heap *>(this)->header(r);
+    }
 
     Value field(Ref obj, uint32_t idx) const;
     /** Store a field; fires the write observer and card marking. */
@@ -194,7 +211,10 @@ class Heap
     /** @name GC interface */
     /// @{
     Space &space(uint8_t id);
-    const Space &space(uint8_t id) const;
+    const Space &space(uint8_t id) const
+    {
+        return const_cast<Heap *>(this)->space(id);
+    }
 
     /** Id of the semispace currently serving allocations. */
     uint8_t allocSpaceId() const { return alloc_space_; }
@@ -257,8 +277,18 @@ class Heap
     Ref allocObject(uint8_t space_id, KlassId klass, ObjKind kind,
                     uint32_t count, uint32_t payload_bytes);
 
-    Value *slots(Ref r);
-    const Value *slots(Ref r) const;
+    Value *
+    slots(Ref r)
+    {
+        return reinterpret_cast<Value *>(
+            space(refSpace(r)).at(refOffset(r)) + sizeof(ObjHeader));
+    }
+    const Value *
+    slots(Ref r) const
+    {
+        return const_cast<Heap *>(this)->slots(r);
+    }
+    [[noreturn]] void badSpace(uint8_t id) const;
 
     const Program &program_;
     Space closure_;
@@ -269,6 +299,68 @@ class Heap
     WriteObserver observer_;
     HeapStats stats_;
 };
+
+inline Space &
+Heap::space(uint8_t id)
+{
+    switch (id) {
+      case kClosureSpaceId: return closure_;
+      case kAllocAId: return alloc_a_;
+      case kAllocBId: return alloc_b_;
+    }
+    badSpace(id);
+}
+
+inline ObjHeader &
+Heap::header(Ref r)
+{
+    bh_assert_hot(r != kNullRef, "null deref");
+    bh_assert_hot(!isRemote(r), "header() on remote ref");
+    return *reinterpret_cast<ObjHeader *>(
+        space(refSpace(r)).at(refOffset(r)));
+}
+
+inline Value
+Heap::field(Ref obj, uint32_t idx) const
+{
+    const ObjHeader &hdr = header(obj);
+    bh_assert_hot(hdr.kind != ObjKind::Bytes, "field access on bytes");
+    bh_assert_hot(idx < hdr.count, "field index %u out of %u in %s", idx,
+                  hdr.count, program_.klass(hdr.klass).name.c_str());
+    return slots(obj)[idx];
+}
+
+inline void
+Heap::setFieldRaw(Ref obj, uint32_t idx, Value v)
+{
+    ObjHeader &hdr = header(obj);
+    bh_assert_hot(hdr.kind != ObjKind::Bytes, "field store on bytes");
+    bh_assert_hot(idx < hdr.count, "field index %u out of %u", idx,
+                  hdr.count);
+    slots(obj)[idx] = v;
+    // Card marking: a closure-space object now (possibly) references
+    // an allocation-space object; the collector must treat this card
+    // as a root region.
+    if (refSpace(obj) == kClosureSpaceId && v.isRef() &&
+        v.asRef() != kNullRef && !isRemote(v.asRef()) &&
+        refSpace(v.asRef()) != kClosureSpaceId) {
+        cards_.mark(refOffset(obj));
+    }
+}
+
+inline void
+Heap::setField(Ref obj, uint32_t idx, Value v)
+{
+    setFieldRaw(obj, idx, v);
+    if (observer_)
+        observer_(obj);
+}
+
+inline uint32_t
+Heap::count(Ref r) const
+{
+    return header(r).count;
+}
 
 } // namespace beehive::vm
 

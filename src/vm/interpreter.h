@@ -27,7 +27,23 @@
  *
  * This explicit suspension design is also what makes stack
  * snapshots for failure recovery (Section 4.5) straightforward:
- * frames are plain data.
+ * snapshotFrames() hands out frames as plain data.
+ *
+ * Stack layout. Each interpreter owns one contiguous Value array.
+ * A live frame is a window on it: its locals start at a base index
+ * and its operand stack sits directly above them. A call leaves its
+ * arguments where the caller pushed them, and they become the
+ * callee's first locals, so entering a method allocates nothing.
+ * Frames are therefore adjacent: frame i's operand-stack top is
+ * frame i+1's locals base, and the whole live region is [0, sp).
+ * The array starts small and doubles when a push or an entry would
+ * overrun it. Each frame also caches its method's code pointer and
+ * length, so the dispatch loop never goes back to the Program.
+ *
+ * snapshotFrames() materializes every window into a vm::Frame with
+ * its own locals and stack vectors; restoreFrames() lays such
+ * vectors out again as adjacent windows. A restored interpreter
+ * therefore runs exactly like the one the snapshot came from.
  */
 
 #ifndef BEEHIVE_VM_INTERPRETER_H
@@ -35,7 +51,9 @@
 
 #include <any>
 #include <cstdint>
+#include <memory>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "vm/context.h"
@@ -44,7 +62,11 @@
 
 namespace beehive::vm {
 
-/** One activation record. Plain data: copyable for snapshots. */
+/**
+ * One activation record as snapshot data: plain and copyable. The
+ * running interpreter keeps frames as windows on its value stack;
+ * snapshotFrames() copies each window out into one of these.
+ */
 struct Frame
 {
     MethodId method = kNoMethod;
@@ -144,8 +166,8 @@ class Interpreter
 
     /** @name Failure recovery (paper Section 4.5) */
     /// @{
-    /** Copy of the current frame stack. */
-    std::vector<Frame> snapshotFrames() const { return frames_; }
+    /** Copy of the current frame stack, one Frame per window. */
+    std::vector<Frame> snapshotFrames() const;
     /** Replace the frame stack (re-execution from a sync point). */
     void restoreFrames(std::vector<Frame> frames);
     /// @}
@@ -206,17 +228,61 @@ class Interpreter
     VmContext &context() { return ctx_; }
 
   private:
-    /** Outcome of a single instruction step. */
-    enum class StepResult { Continue, Suspended, Finished };
+    /**
+     * A live frame: a window on values_ plus the cached code of its
+     * method. Locals are [base, stack_base); the operand stack starts
+     * at stack_base. The top frame's operand-stack top is sp_; a
+     * caller's saved top is its callee's base.
+     */
+    struct Activation
+    {
+        const Instr *code = nullptr;
+        uint32_t code_size = 0;
+        MethodId method = kNoMethod;
+        uint32_t pc = 0;
+        uint32_t base = 0;
+        uint32_t stack_base = 0;
+        double cost_multiplier = 1.0;
+    };
 
-    StepResult step(Suspend &out);
-
-    Frame &top() { return frames_.back(); }
-
-    /** Push/pop helpers operating on the top frame. */
-    void push(Value v) { top().stack.push_back(v); }
-    Value pop();
-    Value &peek(std::size_t depth = 0);
+    /** @name Value stack of the top frame */
+    /// @{
+    void
+    push(Value v)
+    {
+        if (sp_ == limit_) [[unlikely]]
+            growStack(capacity_ + 1);
+        *sp_++ = v;
+    }
+    Value
+    pop()
+    {
+        if (sp_ == opbase_) [[unlikely]]
+            stackUnderflow();
+        return *--sp_;
+    }
+    Value &
+    peek(std::size_t depth = 0)
+    {
+        if (static_cast<std::size_t>(sp_ - opbase_) <= depth) [[unlikely]]
+            peekUnderflow();
+        return sp_[-1 - static_cast<std::ptrdiff_t>(depth)];
+    }
+    std::size_t depth() const
+    {
+        return static_cast<std::size_t>(sp_ - opbase_);
+    }
+    /**
+     * Ensure the value stack holds at least @p min_capacity slots,
+     * doubling from a small start. Keeps [0, sp_) and rebases the
+     * top-frame pointers.
+     */
+    void growStack(std::size_t min_capacity);
+    /** Re-derive locals_/opbase_ for the new top frame. */
+    void bindTop();
+    [[noreturn]] void stackUnderflow() const;
+    [[noreturn]] void peekUnderflow() const;
+    /// @}
 
     /**
      * Check a just-loaded value for the remote mark; rewrite it via
@@ -248,13 +314,56 @@ class Interpreter
     /** Ensure a klass is loaded; otherwise fill @p out and fault. */
     bool requireKlass(KlassId id, Suspend &out);
 
-    void charge(double ns);
-    void enterMethod(MethodId id, std::vector<Value> args);
+    /** @name Candidate recording
+     * The sets keep their ordered iteration (the closure builder
+     * walks them); a dense first-sight bitset in front of each one
+     * means a key already recorded costs a bit test, not a tree
+     * search. Pairs whose index is >= 64 skip the bitset. */
+    /// @{
+    void
+    recordKlass(KlassId k)
+    {
+        const std::size_t word = k / 64;
+        if (word < seen_klasses_.size() &&
+            (seen_klasses_[word] >> (k % 64) & 1))
+            return;
+        recordKlassSlow(k);
+    }
+    void
+    recordPair(std::vector<uint64_t> &seen,
+               std::set<std::pair<KlassId, uint32_t>> &set, KlassId k,
+               uint32_t index)
+    {
+        if (index < 64 && k < seen.size() && (seen[k] >> index & 1))
+            return;
+        recordPairSlow(seen, set, k, index);
+    }
+    void recordKlassSlow(KlassId k);
+    void recordPairSlow(std::vector<uint64_t> &seen,
+                        std::set<std::pair<KlassId, uint32_t>> &set,
+                        KlassId k, uint32_t index);
+    /// @}
+
+    void charge(double ns)
+    {
+        pending_cost_ += ns;
+        quantum_acc_ += ns;
+        cost_total_ += ns;
+    }
+    /** Push a frame whose num_args arguments already sit at @p base. */
+    void enterMethod(MethodId id, const Method &m, uint32_t base);
     bool invoke(MethodId id, Suspend &out);
     bool invokeNative(const Method &m, Suspend &out);
 
     VmContext &ctx_;
-    std::vector<Frame> frames_;
+    std::vector<Activation> frames_;
+    /** The value stack; every frame is a window on it. */
+    std::unique_ptr<Value[]> values_;
+    std::size_t capacity_ = 0;
+    Value *locals_ = nullptr;  //!< top frame's locals
+    Value *opbase_ = nullptr;  //!< top frame's operand-stack bottom
+    Value *sp_ = nullptr;      //!< one past the top frame's top value
+    Value *limit_ = nullptr;   //!< values_ + capacity_
     double pending_cost_ = 0.0;
     double quantum_acc_ = 0.0;
     double cost_total_ = 0.0;
@@ -274,6 +383,11 @@ class Interpreter
     std::set<KlassId> recorded_klasses_;
     std::set<std::pair<KlassId, uint32_t>> recorded_statics_;
     std::set<std::pair<KlassId, uint32_t>> recorded_field_reads_;
+    /** First-sight bitsets: one bit per klass; one 64-bit word of
+     * indices per klass for the pair sets. Sized on first use. */
+    std::vector<uint64_t> seen_klasses_;
+    std::vector<uint64_t> seen_statics_;
+    std::vector<uint64_t> seen_field_reads_;
     InterpStats stats_;
 };
 

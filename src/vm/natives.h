@@ -20,6 +20,7 @@
 #include <functional>
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -50,9 +51,13 @@ struct NativeResult
     std::optional<std::any> external;
 };
 
-/** A native method implementation. */
+/**
+ * A native method implementation. @p args views the caller's operand
+ * stack (first argument first); it stays valid until the handler
+ * returns.
+ */
 using NativeFn =
-    std::function<NativeResult(VmContext &, std::vector<Value> &)>;
+    std::function<NativeResult(VmContext &, std::span<const Value> args)>;
 
 /** Registered native method. */
 struct NativeMethod

@@ -66,13 +66,6 @@ Program::internName(const std::string &s)
     return id;
 }
 
-const Klass &
-Program::klass(KlassId id) const
-{
-    bh_assert(id < klasses_.size(), "bad klass id %u", id);
-    return klasses_[id];
-}
-
 Klass &
 Program::klass(KlassId id)
 {
@@ -81,13 +74,6 @@ Program::klass(KlassId id)
     // conservatively invalidate the frozen tables.
     touch();
     return klasses_[id];
-}
-
-const Method &
-Program::method(MethodId id) const
-{
-    bh_assert(id < methods_.size(), "bad method id %u", id);
-    return methods_[id];
 }
 
 Method &

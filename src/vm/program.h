@@ -165,9 +165,21 @@ class Program
     /** Intern a method name for CallVirt dispatch. */
     NameId internName(const std::string &s);
 
-    const Klass &klass(KlassId id) const;
+    const Klass &
+    klass(KlassId id) const
+    {
+        bh_assert_hot(id < klasses_.size(), "bad klass id %u", id);
+        return klasses_[id];
+    }
+    /** Mutable access; invalidates the frozen dispatch tables. */
     Klass &klass(KlassId id);
-    const Method &method(MethodId id) const;
+    const Method &
+    method(MethodId id) const
+    {
+        bh_assert_hot(id < methods_.size(), "bad method id %u", id);
+        return methods_[id];
+    }
+    /** Mutable access; invalidates the frozen dispatch tables. */
     Method &method(MethodId id);
     const std::string &stringAt(uint32_t idx) const;
     const std::string &nameAt(NameId id) const;

@@ -724,7 +724,7 @@ TEST_F(CoreTest, DbCallFromServerRoutesThroughProxy)
     // A native that issues a DB put through the connection object.
     uint32_t nid = natives.add(
         "socketWrite0", vm::NativeCategory::Network,
-        [](vm::VmContext &ctx, std::vector<Value> &args) {
+        [](vm::VmContext &ctx, std::span<const Value> args) {
             vm::NativeResult r;
             DbCallPayload payload;
             payload.conn_ref = args[0].asRef();
@@ -789,7 +789,7 @@ class DriverPathTest : public CoreTest,
     {
         uint32_t nid = natives.add(
             "socketWrite0", vm::NativeCategory::Network,
-            [](vm::VmContext &ctx, std::vector<Value> &args) {
+            [](vm::VmContext &ctx, std::span<const Value> args) {
                 vm::NativeResult r;
                 DbCallPayload payload;
                 payload.conn_ref = args[0].asRef();
@@ -952,6 +952,46 @@ INSTANTIATE_TEST_SUITE_P(
                    ? std::string("ServerLocal")
                    : std::string("WarmFunction");
     });
+
+TEST_F(CoreTest, FunctionFaultsLeaveDispatchTablesFrozen)
+{
+    // A function prices its code fetches from the server's Program.
+    // Reading it must not count as a mutation: that would invalidate
+    // the frozen vtables on every class and object fault and make
+    // the next inline-cache miss rebuild the whole table.
+    vm::CodeBuilder b(program, object_k, "peek", 1);
+    b.newObj(node_k).popv() // Node is not loaded yet: a class fault
+        .load(0).getField(1) // a remote ref: an object fault
+        .ret();
+    vm::MethodId root = b.build();
+    makeServer();
+    Ref obj = server->heap().allocPlain(node_k);
+    server->heap().setField(obj, 1, Value::ofInt(5));
+
+    cloud::FunctionInstance instance;
+    instance.machine = std::make_unique<cloud::Instance>(
+        sim, net, cloud::m4Large(), "fn", "vpc");
+    BeeHiveFunction fn(*server, instance);
+    program.freeze();
+    ASSERT_TRUE(program.frozen());
+
+    bool done = false;
+    Value result;
+    RequestTrace trace;
+    fn.invoke(root, {Value::ofRef(vm::markRemote(obj))},
+              /*shadow=*/false,
+              [&](Value v, const RequestTrace &t) {
+                  result = v;
+                  trace = t;
+                  done = true;
+              });
+    sim.runUntil(sim.now() + sim::SimTime::sec(5));
+    ASSERT_TRUE(done);
+    EXPECT_EQ(result.asInt(), 5);
+    EXPECT_GE(trace.code_fetches, 1u);
+    EXPECT_GE(trace.data_fetches, 1u);
+    EXPECT_TRUE(program.frozen());
+}
 
 TEST_F(CoreTest, ServerGcKeepsMappingTableTargetsAlive)
 {

@@ -19,10 +19,23 @@
  *      without crashing (the interpreter's asserts abort the
  *      process, so a soundness hole fails the suite loudly).
  *      Rejected programs are never executed.
+ *
+ * A third family checks the interpreter's steppable contract:
+ *
+ *   5. Suspending at nearly every instruction and moving the frames
+ *      into a fresh interpreter at each suspension (snapshotFrames()
+ *      then restoreFrames()) changes nothing: same result, same
+ *      summed InterpStats, a bit-identical total cost, and the same
+ *      recorded klass/static/field-read sets, in the same order.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <memory>
+#include <set>
+
+#include "apps/framework.h"
 #include "fuzz_support.h"
 #include "gc/collector.h"
 #include "support/rng.h"
@@ -372,6 +385,317 @@ TEST(VerifierOracle, AcceptedStreamsExecuteWithoutCrashing)
     // The oracle is only meaningful when both populations are big.
     EXPECT_GT(accepted, 1000) << "generator too hostile";
     EXPECT_GT(rejected, 1000) << "generator too tame";
+}
+
+// -------------------------------------------------------------------
+// Steppable contract: suspend everywhere, migrate, same execution.
+// -------------------------------------------------------------------
+
+/** A fresh VM: a private heap, context and collector per run. */
+struct FreshVm
+{
+    FreshVm(Program &program, NativeRegistry &natives,
+            std::size_t alloc_bytes, VmConfig cfg)
+        : heap(program, 1 << 16, alloc_bytes),
+          ctx(program, natives, heap, cfg), collector(heap)
+    {
+        ctx.loadAll();
+        collector.addValueRoots([this](const auto &visit) {
+            if (live)
+                live->forEachRoot(visit);
+            ctx.forEachStatic(visit);
+        });
+    }
+
+    Heap heap;
+    VmContext ctx;
+    gc::SemiSpaceCollector collector;
+    Interpreter *live = nullptr; //!< the interpreter running now
+};
+
+/** What one execution produced, summed over its interpreters. */
+struct SteppedRun
+{
+    Value result;
+    InterpStats stats;
+    /** Sum of consumeCost() taken after every run() call. */
+    double cost = 0.0;
+    uint64_t suspensions = 0;
+    uint64_t collections = 0;
+    std::set<KlassId> klasses;
+    std::set<std::pair<KlassId, uint32_t>> statics;
+    std::set<std::pair<KlassId, uint32_t>> field_reads;
+};
+
+void
+addStats(InterpStats &to, const InterpStats &s)
+{
+    to.instructions += s.instructions;
+    to.calls += s.calls;
+    to.native_calls += s.native_calls;
+    to.monitor_enters += s.monitor_enters;
+    to.remote_hits += s.remote_hits;
+    to.ic_hits += s.ic_hits;
+    to.ic_misses += s.ic_misses;
+}
+
+/** Fold an interpreter's counters and recorded sets into @p out. */
+void
+absorb(SteppedRun &out, const Interpreter &interp)
+{
+    addStats(out.stats, interp.stats());
+    out.klasses.insert(interp.recordedKlasses().begin(),
+                       interp.recordedKlasses().end());
+    out.statics.insert(interp.recordedStatics().begin(),
+                       interp.recordedStatics().end());
+    out.field_reads.insert(interp.recordedFieldReads().begin(),
+                           interp.recordedFieldReads().end());
+}
+
+/**
+ * Run @p entry to completion with recording on. With @p migrate,
+ * every suspension snapshots the frames and restores them into a
+ * new interpreter, which carries on from there.
+ */
+SteppedRun
+runStepped(FreshVm &vm, MethodId entry, std::vector<Value> args,
+           bool migrate)
+{
+    SteppedRun out;
+    auto interp = std::make_unique<Interpreter>(vm.ctx);
+    interp->enableRecording(true);
+    vm.live = interp.get();
+    interp->start(entry, std::move(args));
+    while (true) {
+        Suspend s = interp->run();
+        out.cost += interp->consumeCost();
+        if (s.kind == Suspend::Kind::Done) {
+            out.result = s.result;
+            break;
+        }
+        ++out.suspensions;
+        if (s.kind == Suspend::Kind::HeapFull) {
+            vm.collector.collect();
+        } else if (s.kind != Suspend::Kind::Quantum) {
+            ADD_FAILURE() << "unexpected suspension "
+                          << static_cast<int>(s.kind);
+            break;
+        }
+        if (migrate) {
+            auto next = std::make_unique<Interpreter>(vm.ctx);
+            next->restoreFrames(interp->snapshotFrames());
+            next->enableRecording(true);
+            absorb(out, *interp);
+            interp = std::move(next);
+            vm.live = interp.get();
+        }
+    }
+    absorb(out, *interp);
+    // The straight run's sets come from one interpreter: they are the
+    // interpreter's own containers, compared below against the plain
+    // std::set unions the migrated run built.
+    vm.live = nullptr;
+    out.collections = vm.collector.totals().collections;
+    return out;
+}
+
+template <typename Set>
+std::vector<typename Set::value_type>
+inOrder(const Set &set)
+{
+    return {set.begin(), set.end()};
+}
+
+bool
+sameBits(double a, double b)
+{
+    return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+/**
+ * The contract, for one program: a straight run and a migrated run
+ * at a tiny quantum agree exactly; a run at the default quantum
+ * agrees on everything but the cost's rounding. Returns the straight
+ * run.
+ */
+SteppedRun
+expectSteppable(Program &program, NativeRegistry &natives,
+                std::size_t alloc_bytes, VmConfig cfg, MethodId entry,
+                const std::vector<Value> &args,
+                const std::function<void(FreshVm &)> &setup,
+                const std::string &what)
+{
+    VmConfig tiny = cfg;
+    tiny.quantum_ns = 1e-3; // every instruction exhausts it
+    FreshVm a(program, natives, alloc_bytes, tiny);
+    FreshVm b(program, natives, alloc_bytes, tiny);
+    FreshVm c(program, natives, alloc_bytes, cfg);
+    if (setup) {
+        setup(a);
+        setup(b);
+        setup(c);
+    }
+    SteppedRun straight = runStepped(a, entry, args, false);
+    SteppedRun migrated = runStepped(b, entry, args, true);
+    SteppedRun coarse = runStepped(c, entry, args, false);
+
+    // Nearly every instruction suspended.
+    EXPECT_EQ(straight.suspensions + 1, straight.stats.instructions)
+        << what;
+    EXPECT_EQ(migrated.suspensions, straight.suspensions) << what;
+
+    for (const SteppedRun *r : {&migrated, &coarse}) {
+        EXPECT_EQ(r->result, straight.result) << what;
+        EXPECT_EQ(r->stats.instructions, straight.stats.instructions)
+            << what;
+        EXPECT_EQ(r->stats.calls, straight.stats.calls) << what;
+        EXPECT_EQ(r->stats.native_calls, straight.stats.native_calls)
+            << what;
+        EXPECT_EQ(r->stats.monitor_enters,
+                  straight.stats.monitor_enters) << what;
+        EXPECT_EQ(r->stats.remote_hits, straight.stats.remote_hits)
+            << what;
+        EXPECT_EQ(r->stats.ic_hits, straight.stats.ic_hits) << what;
+        EXPECT_EQ(r->stats.ic_misses, straight.stats.ic_misses)
+            << what;
+        EXPECT_EQ(r->collections, straight.collections) << what;
+        EXPECT_EQ(inOrder(r->klasses), inOrder(straight.klasses))
+            << what;
+        EXPECT_EQ(inOrder(r->statics), inOrder(straight.statics))
+            << what;
+        EXPECT_EQ(inOrder(r->field_reads),
+                  inOrder(straight.field_reads)) << what;
+    }
+    EXPECT_TRUE(sameBits(migrated.cost, straight.cost))
+        << what << ": " << migrated.cost << " vs " << straight.cost;
+    EXPECT_NEAR(coarse.cost, straight.cost, 1e-9 * straight.cost)
+        << what;
+    return straight;
+}
+
+TEST_P(FuzzProperty, SteppableAcrossSnapshotRestore)
+{
+    // A three-deep call chain around the fuzz body, with a native
+    // reading its arguments from the operand stack, a virtual call
+    // and statics, on a heap small enough to collect mid-run.
+    Program program;
+    Klass obj;
+    obj.name = "Object";
+    KlassId object_k = program.addKlass(obj);
+    Klass node;
+    node.name = "Node";
+    node.fields = {"next", "payload"};
+    node.statics = {"total"};
+    KlassId node_k = program.addKlass(node);
+    MethodId body =
+        generateProgram(program, object_k, node_k, GetParam());
+
+    NativeRegistry natives;
+    uint32_t mix_n = natives.add(
+        "Math.mix3", NativeCategory::PureOnHeap,
+        [](VmContext &, std::span<const Value> args) {
+            NativeResult r;
+            r.ret = Value::ofInt(args[0].asInt() * 31 +
+                                 args[1].asInt() * 7 + args[2].asInt());
+            r.cost_ns = 12.5;
+            return r;
+        });
+    Method native;
+    native.name = "mix3";
+    native.num_args = 3;
+    native.is_native = true;
+    native.native_id = mix_n;
+    MethodId mix_m = program.addMethod(object_k, native);
+
+    CodeBuilder weigh(program, node_k, "weigh", 2); // (this, x)
+    weigh.load(0).getField(1).load(1).add().ret();
+    weigh.build();
+
+    CodeBuilder mid(program, object_k, "mid", 1); // (k)
+    mid.locals(1);
+    mid.call(body).store(1)
+        .load(0).load(1).pushI(3).call(mix_m)
+        .getStatic(node_k, 0).add().putStatic(node_k, 0)
+        .newObj(node_k).store(0)
+        .load(0).load(1).putField(1)
+        .load(0).pushI(5).callVirt("weigh", 2)
+        .getStatic(node_k, 0).add()
+        .ret();
+    MethodId mid_m = mid.build();
+
+    CodeBuilder top(program, object_k, "top", 1); // (n)
+    top.pushI(0).putStatic(node_k, 0)
+        .load(0).call(mid_m)
+        .load(0).pushI(1).add().call(mid_m)
+        .add().pushI(100003).mod().ret();
+    MethodId top_m = top.build();
+
+    VmConfig cfg;
+    cfg.array_klass = object_k;
+    SteppedRun run = expectSteppable(
+        program, natives, 4096, cfg, top_m,
+        {Value::ofInt(static_cast<int64_t>(GetParam()))}, nullptr,
+        "seed " + std::to_string(GetParam()));
+    EXPECT_GT(run.collections, 0u);
+    EXPECT_EQ(run.stats.native_calls, 2u);
+    EXPECT_EQ(run.stats.ic_hits + run.stats.ic_misses, 2u);
+}
+
+TEST(Steppable, FrameworkHandlerAcrossSnapshotRestore)
+{
+    // An app handler as the framework builds one: the interceptor
+    // chain (virtual calls through generated stubs), the native mix
+    // (pure, hidden-state and stateless natives) and a config walk.
+    Program program;
+    NativeRegistry natives;
+    apps::FrameworkOptions opts;
+    opts.native_scale = 1000;
+    opts.interceptor_depth = 3;
+    opts.stub_variants = 4;
+    opts.generated_klasses = 12;
+    opts.config_objects = 30;
+    opts.connection_pool = 2;
+    apps::Framework fw(program, natives, opts);
+
+    CodeBuilder h(program, fw.objectKlass(), "handler", 1);
+    h.annotate("RequestMapping").locals(3);
+    fw.emitNativeMix(h, 20000, 6000, 3000, 1);
+    fw.emitConfigWalk(h, 20, 1);
+    h.load(0).pushI(2).mul().ret();
+    MethodId entry =
+        fw.wrapWithInterceptors("stepapp", h.build());
+
+    auto setup = [&](FreshVm &vm) {
+        // The DataSource statics the native mix and config walk read.
+        Ref method_obj = vm.heap.allocPlain(fw.methodKlass(), true);
+        vm.ctx.setStatic(fw.dataSourceKlass(),
+                         apps::Framework::kDsMethodObj,
+                         Value::ofRef(method_obj));
+        Ref head = kNullRef;
+        for (int i = 0; i < 5; ++i) {
+            Ref n = vm.heap.allocPlain(fw.configKlass(), true);
+            vm.heap.setField(n, apps::Framework::kCfgNext,
+                             Value::ofRef(head));
+            vm.heap.setField(n, apps::Framework::kCfgValue,
+                             Value::ofInt(i));
+            head = n;
+        }
+        vm.ctx.setStatic(fw.dataSourceKlass(),
+                         apps::Framework::kDsConfigRoot,
+                         Value::ofRef(head));
+    };
+    VmConfig cfg;
+    cfg.bytes_klass = fw.bytesKlass();
+    cfg.array_klass = fw.arrayKlass();
+    SteppedRun run = expectSteppable(program, natives, 1 << 20, cfg,
+                                     entry, {Value::ofInt(21)}, setup,
+                                     "framework handler");
+    EXPECT_EQ(run.result.asInt(), 42);
+    EXPECT_GT(run.stats.native_calls, 20u);
+    EXPECT_GT(run.stats.ic_misses, 0u) << "no virtual call ran";
+    EXPECT_GT(run.stats.calls, 4u);
+    EXPECT_FALSE(run.statics.empty());
+    EXPECT_FALSE(run.field_reads.empty());
 }
 
 } // namespace

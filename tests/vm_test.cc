@@ -566,7 +566,7 @@ TEST_F(VmTest, NativeRunsLocallyAndReturns)
 {
     uint32_t nid = natives.add(
         "Math.abs", NativeCategory::PureOnHeap,
-        [](VmContext &, std::vector<Value> &args) {
+        [](VmContext &, std::span<const Value> args) {
             NativeResult r;
             r.ret = Value::ofInt(std::abs(args[0].asInt()));
             r.cost_ns = 10;
@@ -592,7 +592,7 @@ TEST_F(VmTest, NativeExternalSuspendsAndResumes)
 {
     uint32_t nid = natives.add(
         "Socket.read0", NativeCategory::Network,
-        [](VmContext &, std::vector<Value> &args) {
+        [](VmContext &, std::span<const Value> args) {
             NativeResult r;
             r.external = std::any(args[0].asInt());
             return r;
@@ -625,7 +625,7 @@ TEST_F(VmTest, NativeFallbackSuspendsAndRetries)
 {
     uint32_t nid = natives.add(
         "Method.invoke0", NativeCategory::HiddenState,
-        [](VmContext &, std::vector<Value> &args) {
+        [](VmContext &, std::span<const Value> args) {
             NativeResult r;
             r.ret = Value::ofInt(args[0].asInt() * 10);
             return r;
@@ -643,7 +643,7 @@ TEST_F(VmTest, NativeFallbackSuspendsAndRetries)
     makeContext();
     // Policy: all hidden-state natives fall back on this endpoint.
     ctx->setNativePolicy(
-        [](const NativeMethod &n, const std::vector<Value> &) {
+        [](const NativeMethod &n, std::span<const Value>) {
             return n.category == NativeCategory::HiddenState
                        ? NativeDisposition::Fallback
                        : NativeDisposition::RunLocal;
