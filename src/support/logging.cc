@@ -63,11 +63,10 @@ assertFailed(const char *where, const char *cond, const char *fmt, ...)
 {
     va_list args;
     va_start(args, fmt);
-    char msg[512];
-    std::vsnprintf(msg, sizeof msg, fmt, args);
+    const std::string msg = vstrprintf(fmt, args);
     va_end(args);
     logMessage(LogLevel::Panic, where,
-               strprintf("assertion failed: %s %s", cond, msg));
+               strprintf("assertion failed: %s %s", cond, msg.c_str()));
     panicExit();
 }
 

@@ -36,8 +36,10 @@ void logMessage(LogLevel level, const char *where, const std::string &msg);
 [[noreturn]] void fatalExit();
 
 /**
- * Out-of-line failure path of bh_assert_hot(): formats the message,
- * reports it like bh_assert() would and aborts.
+ * Out-of-line failure path of bh_assert(): formats the message,
+ * reports "assertion failed: <cond> <message>" as a panic and aborts.
+ * Keeping it cold leaves each caller's fast path a compare and a
+ * branch.
  */
 [[noreturn, gnu::cold, gnu::noinline]] void
 assertFailed(const char *where, const char *cond, const char *fmt, ...)
@@ -80,21 +82,11 @@ void setLogQuiet(bool quiet);
     ::beehive::detail::logMessage(::beehive::LogLevel::Inform,              \
         BEEHIVE_WHERE, ::beehive::strprintf(__VA_ARGS__))
 
-/** panic() unless the given condition holds. */
-#define bh_assert(cond, ...)                                                \
-    do {                                                                    \
-        if (!(cond)) {                                                      \
-            panic("assertion failed: %s %s", #cond,                         \
-                  ::beehive::strprintf("" __VA_ARGS__).c_str());            \
-        }                                                                   \
-    } while (0)
-
 /**
- * bh_assert() for hot paths: the same condition, checked on every
- * pass, but the message is formatted in a cold out-of-line function
- * so the caller's fast path carries only a compare and a branch.
+ * panic() unless the given condition holds. The condition is checked on
+ * every pass; the message is formatted only on failure, out of line.
  */
-#define bh_assert_hot(cond, ...)                                            \
+#define bh_assert(cond, ...)                                                \
     do {                                                                    \
         if (!(cond)) [[unlikely]]                                           \
             ::beehive::detail::assertFailed(BEEHIVE_WHERE, #cond,           \

@@ -103,7 +103,7 @@ class VmContext
     bool
     isLoaded(KlassId id) const
     {
-        bh_assert_hot(id < loaded_.size(), "bad klass id");
+        bh_assert(id < loaded_.size(), "bad klass id");
         return loaded_[id];
     }
     /** Install a klass (fault resolution or initial closure). */

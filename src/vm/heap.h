@@ -87,9 +87,9 @@ class Space
     uint8_t *
     at(uint64_t offset)
     {
-        bh_assert_hot(offset >= firstOffset() && offset < capacity_,
-                      "offset %llu out of space %u",
-                      static_cast<unsigned long long>(offset), id_);
+        bh_assert(offset >= firstOffset() && offset < capacity_,
+                  "offset %llu out of space %u",
+                  static_cast<unsigned long long>(offset), id_);
         return mem_.get() + offset;
     }
     const uint8_t *
@@ -314,8 +314,8 @@ Heap::space(uint8_t id)
 inline ObjHeader &
 Heap::header(Ref r)
 {
-    bh_assert_hot(r != kNullRef, "null deref");
-    bh_assert_hot(!isRemote(r), "header() on remote ref");
+    bh_assert(r != kNullRef, "null deref");
+    bh_assert(!isRemote(r), "header() on remote ref");
     return *reinterpret_cast<ObjHeader *>(
         space(refSpace(r)).at(refOffset(r)));
 }
@@ -324,9 +324,9 @@ inline Value
 Heap::field(Ref obj, uint32_t idx) const
 {
     const ObjHeader &hdr = header(obj);
-    bh_assert_hot(hdr.kind != ObjKind::Bytes, "field access on bytes");
-    bh_assert_hot(idx < hdr.count, "field index %u out of %u in %s", idx,
-                  hdr.count, program_.klass(hdr.klass).name.c_str());
+    bh_assert(hdr.kind != ObjKind::Bytes, "field access on bytes");
+    bh_assert(idx < hdr.count, "field index %u out of %u in %s", idx,
+              hdr.count, program_.klass(hdr.klass).name.c_str());
     return slots(obj)[idx];
 }
 
@@ -334,9 +334,9 @@ inline void
 Heap::setFieldRaw(Ref obj, uint32_t idx, Value v)
 {
     ObjHeader &hdr = header(obj);
-    bh_assert_hot(hdr.kind != ObjKind::Bytes, "field store on bytes");
-    bh_assert_hot(idx < hdr.count, "field index %u out of %u", idx,
-                  hdr.count);
+    bh_assert(hdr.kind != ObjKind::Bytes, "field store on bytes");
+    bh_assert(idx < hdr.count, "field index %u out of %u", idx,
+              hdr.count);
     slots(obj)[idx] = v;
     // Card marking: a closure-space object now (possibly) references
     // an allocation-space object; the collector must treat this card

@@ -52,17 +52,27 @@ Interpreter::bindTop()
     opbase_ = values_.get() + a.stack_base;
 }
 
-void
-Interpreter::stackUnderflow() const
+const char *
+Interpreter::topMethodName() const
 {
-    panic("assertion failed: sp_ != opbase_ stack underflow in %s",
-          ctx_.program().method(frames_.back().method).name.c_str());
+    if (frames_.empty())
+        return "<no frame>";
+    return ctx_.program().method(frames_.back().method).name.c_str();
 }
 
 void
-Interpreter::peekUnderflow() const
+Interpreter::stackUnderflow() const
 {
-    panic("assertion failed: depth() > depth stack underflow on peek");
+    detail::assertFailed(BEEHIVE_WHERE, "sp_ != opbase_",
+                         "stack underflow in %s", topMethodName());
+}
+
+void
+Interpreter::peekUnderflow(std::size_t depth) const
+{
+    detail::assertFailed(BEEHIVE_WHERE, "sp_ - opbase_ > depth",
+                         "stack underflow on peek(%zu) in %s", depth,
+                         topMethodName());
 }
 
 void
@@ -132,6 +142,8 @@ void
 Interpreter::enterMethod(MethodId id, const Method &m, uint32_t base)
 {
     bh_assert(!m.is_native, "enterMethod on native");
+    bh_assert(m.num_args <= m.num_locals, "%s: num_args %u > num_locals %u",
+              m.name.c_str(), m.num_args, m.num_locals);
     // The num_args arguments already sit at [base, base + num_args),
     // below sp_; the remaining locals start nil.
     const uint32_t stack_base = base + m.num_locals;
@@ -204,11 +216,11 @@ Interpreter::loadBarrier(Value &v, Suspend &out, Writeback &&writeback)
 inline bool
 Interpreter::resolveRef(Value &v, Suspend &out)
 {
-    bh_assert_hot(v.isRef(), "expected a reference, got kind %d",
-                  static_cast<int>(v.kind));
-    bh_assert_hot(v.asRef() != kNullRef, "null dereference in %s",
-                  ctx_.program().method(frames_.back().method)
-                      .name.c_str());
+    bh_assert(v.isRef(), "expected a reference, got kind %d",
+              static_cast<int>(v.kind));
+    bh_assert(v.asRef() != kNullRef, "null dereference in %s",
+              ctx_.program().method(frames_.back().method)
+                  .name.c_str());
     // The stack slot is the value's home, so the rewrite done by
     // checkLoadedValue() is already the writeback.
     return loadBarrier(v, out, [](Value &) {});
@@ -218,8 +230,8 @@ bool
 Interpreter::invokeNative(const Method &m, Suspend &out)
 {
     const NativeMethod &native = ctx_.natives().get(m.native_id);
-    bh_assert_hot(depth() >= m.num_args,
-                  "not enough args for native %s", native.name.c_str());
+    bh_assert(depth() >= m.num_args,
+              "not enough args for native %s", native.name.c_str());
 
     // The arguments are a view of the operand stack. The policy sees
     // them before they are popped, so a fallback suspension leaves
@@ -262,8 +274,8 @@ Interpreter::invoke(MethodId id, Suspend &out)
     if (m.is_native)
         return invokeNative(m, out);
 
-    bh_assert_hot(depth() >= m.num_args, "not enough args for %s",
-                  m.name.c_str());
+    bh_assert(depth() >= m.num_args, "not enough args for %s",
+              m.name.c_str());
 
     Activation &f = frames_.back();
     if (!suppress_offload_ && ctx_.shouldOffload(id)) {
@@ -322,8 +334,8 @@ Interpreter::run()
     Activation *f = &frames_.back();
 
     while (true) {
-        bh_assert_hot(f->pc < f->code_size, "pc ran off method %s",
-                      ctx_.program().method(f->method).name.c_str());
+        bh_assert(f->pc < f->code_size, "pc ran off method %s",
+                  ctx_.program().method(f->method).name.c_str());
         const Instr &in = f->code[f->pc];
         const double mult = f->cost_multiplier;
 
@@ -351,9 +363,9 @@ Interpreter::run()
             break;
 
           case Op::Load: {
-            bh_assert_hot(static_cast<uint64_t>(in.a) <
-                              static_cast<uint64_t>(opbase_ - locals_),
-                          "bad local slot");
+            bh_assert(static_cast<uint64_t>(in.a) <
+                          static_cast<uint64_t>(opbase_ - locals_),
+                      "bad local slot");
             if (!checkLoadedValue(locals_[in.a], out))
                 return out;
             push(locals_[in.a]);
@@ -361,9 +373,9 @@ Interpreter::run()
           }
 
           case Op::Store: {
-            bh_assert_hot(static_cast<uint64_t>(in.a) <
-                              static_cast<uint64_t>(opbase_ - locals_),
-                          "bad local slot");
+            bh_assert(static_cast<uint64_t>(in.a) <
+                          static_cast<uint64_t>(opbase_ - locals_),
+                      "bad local slot");
             locals_[in.a] = pop();
             break;
           }
@@ -511,8 +523,8 @@ Interpreter::run()
             if (!requireKlass(k, out))
                 return out;
             Value len = peek();
-            bh_assert_hot(len.isInt() && len.asInt() >= 0,
-                          "bad array length");
+            bh_assert(len.isInt() && len.asInt() >= 0,
+                      "bad array length");
             Ref r = heap.allocArray(k, static_cast<uint32_t>(len.asInt()));
             if (r == kNullRef) {
                 out.kind = Suspend::Kind::HeapFull;
@@ -526,7 +538,7 @@ Interpreter::run()
 
           case Op::NewBytes: {
             KlassId k = cfg.bytes_klass;
-            bh_assert_hot(k != kNoKlass, "bytes_klass not configured");
+            bh_assert(k != kNoKlass, "bytes_klass not configured");
             if (!requireKlass(k, out))
                 return out;
             const std::string &s =
@@ -587,7 +599,7 @@ Interpreter::run()
             if (!resolveRef(peek(1), out))
                 return out;
             Value idx_v = peek(0);
-            bh_assert_hot(idx_v.isInt(), "array index must be int");
+            bh_assert(idx_v.isInt(), "array index must be int");
             Ref arr = peek(1).asRef();
             uint32_t idx = static_cast<uint32_t>(idx_v.asInt());
             Value v = heap.elem(arr, idx);
@@ -610,7 +622,7 @@ Interpreter::run()
             Value v = pop();
             Value idx = pop();
             Ref arr = pop().asRef();
-            bh_assert_hot(idx.isInt(), "array index must be int");
+            bh_assert(idx.isInt(), "array index must be int");
             heap.setElem(arr, static_cast<uint32_t>(idx.asInt()), v);
             if (RaceOracle *ro = ctx_.raceOracle())
                 ro->elementAccess(race_tid_, arr, heap.header(arr).klass,
@@ -660,9 +672,9 @@ Interpreter::run()
           case Op::Call:
           case Op::CallNative: {
             MethodId id = static_cast<MethodId>(in.a);
-            bh_assert_hot(in.op != Op::CallNative ||
-                              ctx_.program().method(id).is_native,
-                          "CallNative on bytecode method");
+            bh_assert(in.op != Op::CallNative ||
+                          ctx_.program().method(id).is_native,
+                      "CallNative on bytecode method");
             if (!invoke(id, out))
                 return out;
             f = &frames_.back();
@@ -672,7 +684,7 @@ Interpreter::run()
           case Op::CallVirt: {
             NameId name = static_cast<NameId>(in.a);
             uint16_t nargs = static_cast<uint16_t>(in.b);
-            bh_assert_hot(nargs >= 1, "CallVirt needs a receiver");
+            bh_assert(nargs >= 1, "CallVirt needs a receiver");
             if (!resolveRef(peek(nargs - 1), out))
                 return out;
             Ref recv = peek(nargs - 1).asRef();
@@ -696,12 +708,12 @@ Interpreter::run()
                 ++stats_.ic_misses;
                 ctx_.countDispatch(false);
             }
-            bh_assert_hot(id != kNoMethod, "no virtual %s on %s",
-                          ctx_.program().nameAt(name).c_str(),
-                          ctx_.program().klass(k).name.c_str());
-            bh_assert_hot(ctx_.program().method(id).num_args == nargs,
-                          "virtual arg count mismatch on %s",
-                          ctx_.program().nameAt(name).c_str());
+            bh_assert(id != kNoMethod, "no virtual %s on %s",
+                      ctx_.program().nameAt(name).c_str(),
+                      ctx_.program().klass(k).name.c_str());
+            bh_assert(ctx_.program().method(id).num_args == nargs,
+                      "virtual arg count mismatch on %s",
+                      ctx_.program().nameAt(name).c_str());
             charge(5.0 * mult); // vtable walk
             if (!invoke(id, out))
                 return out;
@@ -877,6 +889,9 @@ Interpreter::restoreFrames(std::vector<Frame> frames)
     growStack(total);
     for (const Frame &f : frames) {
         const Method &m = ctx_.program().method(f.method);
+        bh_assert(m.num_args <= f.locals.size(),
+                  "%s: frame holds %zu locals for %u args", m.name.c_str(),
+                  f.locals.size(), m.num_args);
         Activation a;
         a.code = m.code.data();
         a.code_size = static_cast<uint32_t>(m.code.size());

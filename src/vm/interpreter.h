@@ -265,7 +265,7 @@ class Interpreter
     peek(std::size_t depth = 0)
     {
         if (static_cast<std::size_t>(sp_ - opbase_) <= depth) [[unlikely]]
-            peekUnderflow();
+            peekUnderflow(depth);
         return sp_[-1 - static_cast<std::ptrdiff_t>(depth)];
     }
     std::size_t depth() const
@@ -280,8 +280,10 @@ class Interpreter
     void growStack(std::size_t min_capacity);
     /** Re-derive locals_/opbase_ for the new top frame. */
     void bindTop();
+    /** Name of the top frame's method, for failure reports. */
+    const char *topMethodName() const;
     [[noreturn]] void stackUnderflow() const;
-    [[noreturn]] void peekUnderflow() const;
+    [[noreturn]] void peekUnderflow(std::size_t depth) const;
     /// @}
 
     /**

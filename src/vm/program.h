@@ -168,7 +168,7 @@ class Program
     const Klass &
     klass(KlassId id) const
     {
-        bh_assert_hot(id < klasses_.size(), "bad klass id %u", id);
+        bh_assert(id < klasses_.size(), "bad klass id %u", id);
         return klasses_[id];
     }
     /** Mutable access; invalidates the frozen dispatch tables. */
@@ -176,7 +176,7 @@ class Program
     const Method &
     method(MethodId id) const
     {
-        bh_assert_hot(id < methods_.size(), "bad method id %u", id);
+        bh_assert(id < methods_.size(), "bad method id %u", id);
         return methods_[id];
     }
     /** Mutable access; invalidates the frozen dispatch tables. */

@@ -962,6 +962,22 @@ TEST_F(VmTest, MonitorOpsOnNullDie)
                  "null dereference");
 }
 
+TEST_F(VmTest, MethodWithMoreArgsThanLocalsDies)
+{
+    // Hand-built, so the verifier never sees it: its arguments would
+    // overrun the locals window into the operand stack.
+    Method bad;
+    bad.name = "bad_window";
+    bad.num_args = 2;
+    bad.num_locals = 1;
+    bad.code = {{Op::PushI, 0, 0}, {Op::Ret, 0, 0}};
+    MethodId m = program.addMethod(object_k, bad);
+    makeContext();
+    EXPECT_DEATH(callMethod(m, {Value::ofInt(1), Value::ofInt(2)}),
+                 "assertion failed: m.num_args <= m.num_locals "
+                 "bad_window: num_args 2 > num_locals 1");
+}
+
 TEST_F(VmTest, VolatileAccessPlainSemanticsWithoutPolicy)
 {
     CodeBuilder b(program, object_k, "vol_rw", 1);
