@@ -117,9 +117,16 @@ Invocation::pump()
     double cost = interp_.consumeCost();
     cpu_work_ += cost;
     if (cost > 0.0) {
-        ep_.cpu().submit(cost, [self = Ptr(this), s = std::move(s)] {
+        // The suspension waits in the invocation, so the callback
+        // captures one pointer and needs no heap allocation.
+        bh_assert(!slice_pending_, "pump() while a CPU slice is pending");
+        pending_ = std::move(s);
+        slice_pending_ = true;
+        ep_.cpu().submit(cost, [self = Ptr(this)] {
+            self->slice_pending_ = false;
+            vm::Suspend next = std::move(self->pending_);
             if (self->live_)
-                self->dispatch(s);
+                self->dispatch(next);
         });
     } else {
         dispatch(s);

@@ -267,6 +267,9 @@ class Invocation
     telemetry::SpanId exec_span_ = telemetry::kNoSpan;
     sim::SimTime started_at_;
     double cpu_work_ = 0.0;
+    /** The suspension to serve when the pending CPU slice ends. */
+    vm::Suspend pending_;
+    bool slice_pending_ = false;
     uint32_t refs_ = 0;
     bool live_ = true;
 };

@@ -41,7 +41,7 @@ ProcessorSharingCpu::advanceTo(SimTime now)
     if (elapsed <= 0.0 || jobs_.empty())
         return;
     double progress = elapsed * ratePerJob();
-    for (auto &[id, job] : jobs_) {
+    for (Job &job : jobs_) {
         done_work_ += std::min(progress, std::max(job.remaining, 0.0));
         job.remaining -= progress;
     }
@@ -57,7 +57,7 @@ ProcessorSharingCpu::reschedule()
     if (jobs_.empty())
         return;
     double min_remaining = INFINITY;
-    for (const auto &[id, job] : jobs_)
+    for (const Job &job : jobs_)
         min_remaining = std::min(min_remaining, job.remaining);
     double rate = ratePerJob();
     double delay_ns = std::max(0.0, min_remaining / rate);
@@ -69,14 +69,14 @@ ProcessorSharingCpu::reschedule()
         // Collect all jobs that are done (remaining can dip a hair
         // below zero from rounding).
         std::vector<Callback> finished;
-        for (auto it = jobs_.begin(); it != jobs_.end();) {
-            if (it->second.remaining <= 0.5) {
-                finished.push_back(std::move(it->second.done));
-                it = jobs_.erase(it);
-            } else {
-                ++it;
-            }
+        auto kept = jobs_.begin();
+        for (Job &job : jobs_) {
+            if (job.remaining <= 0.5)
+                finished.push_back(std::move(job.done));
+            else
+                *kept++ = std::move(job);
         }
+        jobs_.erase(kept, jobs_.end());
         reschedule();
         for (auto &cb : finished)
             cb();
@@ -89,7 +89,7 @@ ProcessorSharingCpu::submit(double work, Callback done)
     bh_assert(work >= 0.0, "negative work");
     advanceTo(sim_.now());
     JobId id = next_id_++;
-    jobs_.emplace(id, Job{std::max(work, 1.0), std::move(done)});
+    jobs_.push_back(Job{id, std::max(work, 1.0), std::move(done)});
     reschedule();
     return id;
 }
@@ -98,8 +98,10 @@ bool
 ProcessorSharingCpu::cancel(JobId id)
 {
     advanceTo(sim_.now());
-    auto it = jobs_.find(id);
-    if (it == jobs_.end())
+    auto it = std::lower_bound(
+        jobs_.begin(), jobs_.end(), id,
+        [](const Job &job, JobId key) { return job.id < key; });
+    if (it == jobs_.end() || it->id != id)
         return false;
     jobs_.erase(it);
     reschedule();

@@ -17,10 +17,10 @@
 #define BEEHIVE_SIM_CPU_H
 
 #include <cstdint>
-#include <functional>
-#include <map>
+#include <vector>
 
 #include "sim/simulation.h"
+#include "sim/small_fn.h"
 
 namespace beehive::sim {
 
@@ -29,7 +29,9 @@ class ProcessorSharingCpu
 {
   public:
     using JobId = uint64_t;
-    using Callback = std::function<void()>;
+    /** Completion callback; captures up to SmallFn::kInlineBytes
+     * are held without a heap allocation. */
+    using Callback = SmallFn;
 
     /**
      * @param sim Owning simulation.
@@ -68,6 +70,7 @@ class ProcessorSharingCpu
   private:
     struct Job
     {
+        JobId id;
         double remaining;
         Callback done;
     };
@@ -84,7 +87,9 @@ class ProcessorSharingCpu
     Simulation &sim_;
     int cores_;
     double speed_;
-    std::map<JobId, Job> jobs_;
+    /** Jobs in service, in ascending id (submission) order: progress
+     * is summed and finished jobs complete in that order. */
+    std::vector<Job> jobs_;
     JobId next_id_ = 1;
     SimTime last_update_;
     EventId pending_event_ = 0;

@@ -1,7 +1,13 @@
 #include "vm/heap.h"
 
+#include <sys/mman.h>
+
 #include <algorithm>
 #include <cstring>
+
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#endif
 
 #include "support/logging.h"
 #include "support/strutil.h"
@@ -16,25 +22,93 @@ alignUp(uint32_t bytes)
     return (bytes + 7u) & ~7u;
 }
 
+/** @name Hole guards: under AddressSanitizer a dead-on-arrival hole
+ * is poisoned, so any read of it traps; no-ops otherwise. */
+/// @{
+inline void
+poison([[maybe_unused]] uint8_t *p, [[maybe_unused]] std::size_t n)
+{
+#if defined(__SANITIZE_ADDRESS__)
+    ASAN_POISON_MEMORY_REGION(p, n);
+#endif
+}
+
+inline void
+unpoison([[maybe_unused]] uint8_t *p, [[maybe_unused]] std::size_t n)
+{
+#if defined(__SANITIZE_ADDRESS__)
+    ASAN_UNPOISON_MEMORY_REGION(p, n);
+#endif
+}
+/// @}
+
+uint8_t *
+mapArena(std::size_t bytes)
+{
+    void *p = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+    if (p == MAP_FAILED)
+        fatal("cannot map a %zu-byte heap space", bytes);
+    return static_cast<uint8_t *>(p);
+}
+
 } // namespace
+
+void
+Space::Unmap::operator()(uint8_t *p) const
+{
+    munmap(p, bytes);
+}
 
 Space::Space(uint8_t id, std::size_t capacity)
     : id_(id), capacity_(capacity),
-      mem_(std::make_unique_for_overwrite<uint8_t[]>(capacity)),
-      top_(firstOffset())
+      mem_(mapArena(capacity), Unmap{capacity}), top_(firstOffset())
 {
     bh_assert(capacity > firstOffset(), "space too small");
+}
+
+Space::~Space()
+{
+    // The poisoned shadow of a hole must not outlive the mapping.
+    unpoison(mem_.get(), top_);
+}
+
+uint64_t
+Space::bump(uint32_t bytes)
+{
+    if (top_ + bytes > capacity_)
+        return 0;
+    uint64_t offset = top_;
+    top_ += bytes;
+    return offset;
 }
 
 uint64_t
 Space::alloc(uint32_t bytes)
 {
     bytes = alignUp(bytes);
-    if (top_ + bytes > capacity_)
-        return 0;
-    uint64_t offset = top_;
-    top_ += bytes;
+    uint64_t offset = bump(bytes);
+    if (offset != 0)
+        unpoison(mem_.get() + offset, bytes);
     return offset;
+}
+
+uint64_t
+Space::allocHole(uint32_t bytes)
+{
+    bytes = alignUp(bytes);
+    uint64_t offset = bump(bytes);
+    if (offset != 0)
+        poison(mem_.get() + offset, bytes);
+    return offset;
+}
+
+void
+Space::reset()
+{
+    // Holes only ever lie below the bump pointer.
+    unpoison(mem_.get(), top_);
+    top_ = firstOffset();
 }
 
 CardTable::CardTable(std::size_t space_capacity)
@@ -128,10 +202,27 @@ Heap::allocObject(uint8_t space_id, KlassId klass, ObjKind kind,
         for (uint32_t i = 0; i < count; ++i)
             s[i] = Value::nil();
     }
+    countAllocation(total);
+    return ref;
+}
+
+bool
+Heap::reserveHole(uint32_t payload_bytes)
+{
+    uint32_t total =
+        alignUp(static_cast<uint32_t>(sizeof(ObjHeader)) + payload_bytes);
+    if (space(alloc_space_).allocHole(total) == 0)
+        return false;
+    countAllocation(total);
+    return true;
+}
+
+void
+Heap::countAllocation(uint32_t total)
+{
     ++stats_.objects_allocated;
     stats_.bytes_allocated += total;
     stats_.peak_used = std::max(stats_.peak_used, usedBytes());
-    return ref;
 }
 
 Ref
@@ -148,6 +239,18 @@ Heap::allocArray(KlassId klass, uint32_t len, bool in_closure)
 {
     return allocObject(in_closure ? kClosureSpaceId : alloc_space_,
                        klass, ObjKind::Array, len, len * sizeof(Value));
+}
+
+bool
+Heap::reservePlain(KlassId klass)
+{
+    return reserveHole(program_.fieldCount(klass) * sizeof(Value));
+}
+
+bool
+Heap::reserveArray(uint32_t len)
+{
+    return reserveHole(len * sizeof(Value));
 }
 
 Ref
@@ -182,9 +285,7 @@ Heap::cloneFrom(const Heap &src_heap, Ref src, uint8_t dst_space)
                 src_heap.space(refSpace(src)).at(refOffset(src)),
                 hdr.size);
     header(dst).forward = kNullRef;
-    ++stats_.objects_allocated;
-    stats_.bytes_allocated += hdr.size;
-    stats_.peak_used = std::max(stats_.peak_used, usedBytes());
+    countAllocation(hdr.size);
     return dst;
 }
 
@@ -217,6 +318,9 @@ void
 Heap::forEachObject(uint8_t space_id,
                     const std::function<void(Ref)> &fn)
 {
+    bh_assert(space_id == kClosureSpaceId,
+              "forEachObject on allocation space %u (it may hold holes)",
+              space_id);
     Space &s = space(space_id);
     uint64_t offset = Space::firstOffset();
     while (offset < s.used()) {

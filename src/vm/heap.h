@@ -17,6 +17,16 @@
  * Objects are laid out in the arenas as a fixed header followed by
  * either tagged value slots (plain objects, arrays) or raw bytes
  * (strings/blobs). All addressing goes through Ref (see value.h).
+ *
+ * An allocation space may also hold *holes*: the bytes of an object
+ * that was dead on arrival (reservePlain()/reserveArray(), used by
+ * the interpreter when a New/NewArr result is popped at once). A hole
+ * is accounted and bump-allocated like a real object but never
+ * written, not even its header. So the allocation spaces must only
+ * be reached through refs, never walked linearly: forEachObject()
+ * serves the closure space alone, and the collector's Cheney scan
+ * walks only the to-space it filled itself. Under AddressSanitizer a
+ * hole is poisoned until its space is reset, so a stray read traps.
  */
 
 #ifndef BEEHIVE_VM_HEAP_H
@@ -67,22 +77,33 @@ static_assert(sizeof(ObjHeader) == 24, "header layout drifted");
 /**
  * One contiguous arena. Offsets start at 8 so 0 stays null.
  *
- * The backing memory is allocated but never initialized: the OS
- * commits a page only when the bump pointer first reaches it, so an
- * arena costs what its objects touch, not its capacity. In turn no
- * code may read arena bytes that an allocation did not write (after
- * reset() a semispace still holds the previous cycle's objects).
+ * The backing memory is a private anonymous mapping of its own,
+ * never initialized: the OS commits a page only when the bump
+ * pointer first reaches it, so an arena costs what its objects
+ * touch, not its capacity. (Memory from malloc would not guarantee
+ * that: a large block can be carved from chunks an earlier,
+ * destroyed heap already committed.) In turn no code may read arena
+ * bytes that an allocation did not write (after reset() a semispace
+ * still holds the previous cycle's objects).
  */
 class Space
 {
   public:
     Space(uint8_t id, std::size_t capacity);
+    ~Space();
 
     /**
      * Bump-allocate @p bytes (8-aligned).
      * @return Arena offset, or 0 when the space is exhausted.
      */
     uint64_t alloc(uint32_t bytes);
+
+    /**
+     * Bump-allocate a hole of @p bytes that nothing will ever read
+     * (see the file comment); poisoned under AddressSanitizer.
+     * @return Arena offset, or 0 when the space is exhausted.
+     */
+    uint64_t allocHole(uint32_t bytes);
 
     uint8_t *
     at(uint64_t offset)
@@ -105,13 +126,22 @@ class Space
     /** Offset where iteration of allocated objects begins. */
     static constexpr uint64_t firstOffset() { return 8; }
 
-    /** Reset the bump pointer (collection of a semispace). */
-    void reset() { top_ = firstOffset(); }
+    /** Reset the bump pointer (collection of a semispace); under
+     * AddressSanitizer this also unpoisons every hole it held. */
+    void reset();
 
   private:
+    /** Advance the bump pointer by @p bytes (8-aligned); 0 when full. */
+    uint64_t bump(uint32_t bytes);
+
     uint8_t id_;
     std::size_t capacity_;
-    std::unique_ptr<uint8_t[]> mem_;
+    struct Unmap
+    {
+        std::size_t bytes;
+        void operator()(uint8_t *p) const;
+    };
+    std::unique_ptr<uint8_t, Unmap> mem_;
     std::size_t top_;
 };
 
@@ -184,6 +214,19 @@ class Heap
     /** Allocate a byte object holding a copy of @p data. */
     Ref allocBytes(KlassId klass, std::string_view data,
                    bool in_closure = false);
+
+    /**
+     * Dead-on-arrival allocation of a plain object of @p klass or an
+     * array of @p len slots in the current allocation space: the bump
+     * pointer and HeapStats move exactly as allocPlain()/allocArray()
+     * would move them, but no byte of the object is written. Only for
+     * an object no ref will ever point to; it leaves a hole (see the
+     * file comment).
+     *
+     * @return false when the space is exhausted (nothing changes).
+     */
+    bool reservePlain(KlassId klass);
+    bool reserveArray(uint32_t len);
     /// @}
 
     /** @name Object access
@@ -266,7 +309,11 @@ class Heap
     /** Bytes currently in use across closure + active semispace. */
     std::size_t usedBytes() const;
 
-    /** Walk all objects in a space. */
+    /**
+     * Walk all objects in a space, in allocation order. Only the
+     * closure space may be walked: an allocation space can hold
+     * headerless holes.
+     */
     void forEachObject(uint8_t space_id,
                        const std::function<void(Ref)> &fn);
 
@@ -276,6 +323,9 @@ class Heap
   private:
     Ref allocObject(uint8_t space_id, KlassId klass, ObjKind kind,
                     uint32_t count, uint32_t payload_bytes);
+    bool reserveHole(uint32_t payload_bytes);
+    /** Count one allocated object of @p total bytes in stats_. */
+    void countAllocation(uint32_t total);
 
     Value *
     slots(Ref r)

@@ -508,13 +508,23 @@ Interpreter::run()
             KlassId k = static_cast<KlassId>(in.a);
             if (!requireKlass(k, out))
                 return out;
+            const double c = 10.0 * mult;
+            if (deadOnArrival(*f, c, cfg.quantum_ns)) {
+                if (!heap.reservePlain(k)) {
+                    out.kind = Suspend::Kind::HeapFull;
+                    return out;
+                }
+                push(Value::nil());
+                charge(c);
+                break;
+            }
             Ref r = heap.allocPlain(k);
             if (r == kNullRef) {
                 out.kind = Suspend::Kind::HeapFull;
                 return out;
             }
             push(Value::ofRef(r));
-            charge(10.0 * mult);
+            charge(c);
             break;
           }
 
@@ -522,17 +532,28 @@ Interpreter::run()
             KlassId k = static_cast<KlassId>(in.a);
             if (!requireKlass(k, out))
                 return out;
-            Value len = peek();
+            Value &len = peek();
             bh_assert(len.isInt() && len.asInt() >= 0,
                       "bad array length");
-            Ref r = heap.allocArray(k, static_cast<uint32_t>(len.asInt()));
+            const uint32_t n = static_cast<uint32_t>(len.asInt());
+            const double c =
+                10.0 * mult + 0.1 * static_cast<double>(len.asInt());
+            if (deadOnArrival(*f, c, cfg.quantum_ns)) {
+                if (!heap.reserveArray(n)) {
+                    out.kind = Suspend::Kind::HeapFull;
+                    return out;
+                }
+                len = Value::nil();
+                charge(c);
+                break;
+            }
+            Ref r = heap.allocArray(k, n);
             if (r == kNullRef) {
                 out.kind = Suspend::Kind::HeapFull;
                 return out;
             }
-            pop();
-            push(Value::ofRef(r));
-            charge(10.0 * mult + 0.1 * static_cast<double>(len.asInt()));
+            len = Value::ofRef(r);
+            charge(c);
             break;
           }
 

@@ -346,6 +346,22 @@ class Interpreter
                         KlassId k, uint32_t index);
     /// @}
 
+    /**
+     * True when the object the New/NewArr at @p f's pc makes, with
+     * charge @p c, is dead on arrival: the next instruction is Pop,
+     * and the quantum check after this instruction will not fire
+     * (the exact sum charge() forms stays below @p quantum_ns). No
+     * suspension point then lies between the allocation and the Pop,
+     * so no root, snapshot, collector or oracle can see the ref, and
+     * the heap may reserve the object without writing it.
+     */
+    bool
+    deadOnArrival(const Activation &f, double c, double quantum_ns) const
+    {
+        return f.pc + 1 < f.code_size && f.code[f.pc + 1].op == Op::Pop &&
+               quantum_acc_ + c < quantum_ns;
+    }
+
     void charge(double ns)
     {
         pending_cost_ += ns;

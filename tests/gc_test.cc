@@ -290,8 +290,13 @@ TEST_F(GcTest, RecycledSemispaceReadsOnlyWhatAllocationsWrote)
 
     // Every slot of a fresh object reads nil and every byte object
     // reads back exactly what was written, in all the reused memory.
+    // Dead-on-arrival holes (never written, not even a header) sit
+    // between them, and the bump pointer covers them exactly.
     std::vector<Ref> slotted;
     std::vector<std::pair<Ref, std::string>> blobs;
+    std::size_t expected_top = vm::Space::firstOffset();
+    uint64_t holes = 0;
+    const uint64_t objects_before = small.stats().objects_allocated;
     for (int i = 0;; ++i) {
         Ref r;
         if (i % 3 == 2) {
@@ -310,10 +315,26 @@ TEST_F(GcTest, RecycledSemispaceReadsOnlyWhatAllocationsWrote)
         }
         if (r == vm::kNullRef)
             break;
+        expected_top += small.header(r).size;
+        if (i % 4 == 1) {
+            const uint32_t len = static_cast<uint32_t>(i % 9);
+            const bool plain = i % 8 == 1;
+            if (!(plain ? small.reservePlain(node_k)
+                        : small.reserveArray(len)))
+                break;
+            ++holes;
+            expected_top += sizeof(vm::ObjHeader) +
+                            (plain ? program.fieldCount(node_k) : len) *
+                                sizeof(Value);
+        }
     }
     // The new objects cover all of the memory the first fill wrote.
     ASSERT_GE(small.space(reused).used() + 256, stale_top);
     ASSERT_GT(slotted.size(), 100u);
+    ASSERT_GT(holes, 40u);
+    EXPECT_EQ(small.space(reused).used(), expected_top);
+    EXPECT_EQ(small.stats().objects_allocated - objects_before,
+              slotted.size() + blobs.size() + holes);
     for (Ref r : slotted) {
         EXPECT_EQ(small.header(r).forward, vm::kNullRef);
         for (uint32_t f = 0; f < small.count(r); ++f) {
@@ -324,7 +345,70 @@ TEST_F(GcTest, RecycledSemispaceReadsOnlyWhatAllocationsWrote)
     }
     for (const auto &[r, data] : blobs)
         EXPECT_EQ(small.bytes(r), data);
+
+    // Root every real object and collect: exactly the live objects
+    // are copied, each one byte for byte, and no hole is read.
+    std::vector<Value> roots;
+    std::vector<std::string> images;
+    uint64_t live_bytes = 0;
+    auto image = [&](Ref r) {
+        const uint8_t *p =
+            small.space(vm::refSpace(r)).at(vm::refOffset(r));
+        return std::string(reinterpret_cast<const char *>(p),
+                           small.header(r).size);
+    };
+    for (std::size_t i = 0; i < slotted.size(); ++i) {
+        Ref r = slotted[i];
+        for (uint32_t f = 0; f < small.count(r); ++f)
+            small.setField(r, f, Value::ofInt(static_cast<int64_t>(i)));
+    }
+    for (Ref r : slotted)
+        roots.push_back(Value::ofRef(r));
+    for (const auto &[r, data] : blobs)
+        roots.push_back(Value::ofRef(r));
+    for (const Value &v : roots) {
+        images.push_back(image(v.asRef()));
+        live_bytes += small.header(v.asRef()).size;
+    }
+    gc.addValueRoots([&](const auto &visit) {
+        for (Value &v : roots)
+            visit(v);
+    });
+    GcCycleStats st = gc.collect();
+    EXPECT_EQ(st.objects_copied, roots.size());
+    EXPECT_EQ(st.bytes_copied, live_bytes);
+    EXPECT_EQ(small.space(small.allocSpaceId()).used(),
+              vm::Space::firstOffset() + live_bytes);
+    for (std::size_t i = 0; i < roots.size(); ++i) {
+        ASSERT_EQ(vm::refSpace(roots[i].asRef()), small.allocSpaceId());
+        EXPECT_EQ(image(roots[i].asRef()), images[i]) << "object " << i;
+    }
 }
+
+#if defined(__SANITIZE_ADDRESS__)
+TEST_F(GcTest, ReadingAHoleTrapsUnderAsan)
+{
+    // A dead-on-arrival hole is never written, so nothing may read
+    // it; AddressSanitizer builds poison it until the space is reset.
+    const uint8_t id = heap->allocSpaceId();
+    const uint64_t hole = heap->space(id).used();
+    ASSERT_TRUE(heap->reserveArray(4));
+    Ref after = heap->allocPlain(node_k);
+    EXPECT_EQ(heap->field(after, 0), Value::nil());
+    EXPECT_DEATH(
+        {
+            volatile uint8_t b = *heap->space(id).at(hole);
+            (void)b;
+        },
+        "use-after-poison");
+    collector->collect();
+    collector->collect(); // the hole's space is reset and reusable
+    ASSERT_EQ(heap->allocSpaceId(), id);
+    Ref reused = heap->allocArray(node_k, 4);
+    EXPECT_EQ(vm::refOffset(reused), hole);
+    EXPECT_EQ(heap->elem(reused, 3), Value::nil());
+}
+#endif
 
 /** Resident set size of this process in bytes, or -1 without /proc. */
 long long

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
+#include "gc/collector.h"
 #include "vm/code_builder.h"
 #include "vm/context.h"
 #include "vm/heap.h"
@@ -310,12 +313,14 @@ TEST_F(VmTest, WriteObserverFiresOnEveryStore)
 
 TEST_F(VmTest, ForEachObjectWalksAllocationOrder)
 {
+    // Only the closure space is walkable: an allocation space may
+    // hold the headerless holes of dead-on-arrival objects.
     makeContext();
-    Ref a = heap->allocPlain(point_k);
-    Ref b = heap->allocArray(array_k, 3);
-    Ref c = heap->allocBytes(bytes_k, "xy");
+    Ref a = heap->allocPlain(point_k, true);
+    Ref b = heap->allocArray(array_k, 3, true);
+    Ref c = heap->allocBytes(bytes_k, "xy", true);
     std::vector<Ref> seen;
-    heap->forEachObject(heap->allocSpaceId(),
+    heap->forEachObject(Heap::kClosureSpaceId,
                         [&](Ref r) { seen.push_back(r); });
     ASSERT_EQ(seen.size(), 3u);
     EXPECT_EQ(seen[0], a);
@@ -739,6 +744,214 @@ TEST_F(VmTest, HeapFullSuspendOnAllocation)
         ASSERT_EQ(s.kind, Suspend::Kind::Quantum);
     }
     SUCCEED();
+}
+
+// ---------------------------------------------------------------------
+// Dead-on-arrival allocations
+// ---------------------------------------------------------------------
+
+/** Everything a run of an allocating method leaves for comparison. */
+struct AllocRun
+{
+    Value result;
+    KlassId result_klass = kNoKlass;
+    Value result_field;
+    HeapStats heap;
+    std::size_t used = 0;
+    InterpStats interp;
+    double cost = 0.0;
+    std::vector<gc::GcCycleStats> cycles;
+    /** Quantum suspensions between an allocation and its Pop. */
+    int suspended_at_pop = 0;
+};
+
+bool
+sameBits(double a, double b)
+{
+    return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+/**
+ * Loop @p n times over the two dead-on-arrival idioms of the apps
+ * (`pushI(128) newArr popv`, `newObj popv`) next to one live
+ * allocation kept in a local; return the last live Point, whose
+ * field 0 holds the last index.
+ */
+MethodId
+buildChurn(Program &program, KlassId owner, KlassId array_k,
+           KlassId point_k)
+{
+    CodeBuilder b(program, owner, "churnDead", 1);
+    b.locals(2); // 0 = n, 1 = i, 2 = live point
+    auto loop = b.newLabel(), done = b.newLabel();
+    b.pushI(0).store(1)
+     .bind(loop)
+     .load(1).load(0).cmpGe().jnz(done)
+     .pushI(128).newArr(array_k).popv()
+     .newObj(point_k).popv()
+     .newObj(point_k).store(2)
+     .load(2).load(1).putField(0)
+     .load(1).pushI(1).add().store(1)
+     .jmp(loop)
+     .bind(done)
+     .load(2).ret();
+    return b.build();
+}
+
+TEST_F(VmTest, DeadOnArrivalAllocationsKeepEveryAccount)
+{
+    MethodId m = buildChurn(program, object_k, array_k, point_k);
+
+    // Run on a fresh 64 KB-semispace heap, collecting on every
+    // HeapFull and once at the end. consumeCost() is taken only at
+    // the end, so runs that charge the same doubles in the same
+    // order report the same bits whatever their quanta.
+    auto run = [&](double quantum_ns) {
+        VmConfig cfg;
+        cfg.quantum_ns = quantum_ns;
+        cfg.bytes_klass = bytes_k;
+        cfg.array_klass = array_k;
+        Heap h(program, 1 << 16, 1 << 16);
+        VmContext c(program, natives, h, cfg);
+        c.loadAll();
+        Interpreter interp(c);
+        gc::SemiSpaceCollector gc(h);
+        AllocRun out;
+        gc.addValueRoots([&](const auto &visit) {
+            interp.forEachRoot(visit);
+            visit(out.result);
+        });
+        interp.start(m, {Value::ofInt(300)});
+        while (true) {
+            Suspend s = interp.run();
+            if (s.kind == Suspend::Kind::Done) {
+                out.result = s.result;
+                break;
+            }
+            if (s.kind == Suspend::Kind::HeapFull) {
+                out.cycles.push_back(gc.collect());
+                continue;
+            }
+            EXPECT_EQ(s.kind, Suspend::Kind::Quantum);
+            if (s.kind != Suspend::Kind::Quantum)
+                break;
+            // Suspended between an allocation and its Pop: the
+            // object must be real, since a collection could run now.
+            std::vector<Frame> frames = interp.snapshotFrames();
+            const Frame &top = frames.back();
+            if (program.method(top.method).code[top.pc].op == Op::Pop &&
+                top.pc > 0) {
+                Op prev = program.method(top.method).code[top.pc - 1].op;
+                if (prev == Op::New || prev == Op::NewArr) {
+                    EXPECT_TRUE(top.stack.back().isRef());
+                    ++out.suspended_at_pop;
+                }
+            }
+        }
+        out.cost = interp.consumeCost();
+        out.heap = h.stats();
+        out.used = h.usedBytes();
+        out.interp = interp.stats();
+        out.cycles.push_back(gc.collect());
+        if (out.result.isRef()) {
+            out.result_klass = h.header(out.result.asRef()).klass;
+            out.result_field = h.field(out.result.asRef(), 0);
+        }
+        return out;
+    };
+
+    // No quantum ever fires: every `newArr popv` and `newObj popv` is
+    // elided. At 1e-3 ns every instruction ends a quantum, so every
+    // object is materialised.
+    const AllocRun elided = run(1e15);
+    const AllocRun full = run(1e-3);
+
+    for (const AllocRun *r : {&elided, &full}) {
+        ASSERT_TRUE(r->result.isRef());
+        EXPECT_EQ(r->result_klass, point_k);
+        EXPECT_EQ(r->result_field, Value::ofInt(299));
+    }
+    EXPECT_GE(full.interp.instructions, 300u * 17);
+    // Every dead idiom was cut by a quantum in the materialised run.
+    EXPECT_EQ(elided.suspended_at_pop, 0);
+    EXPECT_EQ(full.suspended_at_pop, 2 * 300);
+    EXPECT_EQ(elided.heap.objects_allocated, full.heap.objects_allocated);
+    EXPECT_GE(elided.heap.objects_allocated, 900u); // + GC copies
+    EXPECT_EQ(elided.heap.bytes_allocated, full.heap.bytes_allocated);
+    EXPECT_EQ(elided.heap.peak_used, full.heap.peak_used);
+    EXPECT_EQ(elided.used, full.used);
+    EXPECT_EQ(elided.interp.instructions, full.interp.instructions);
+    EXPECT_EQ(elided.interp.calls, full.interp.calls);
+    EXPECT_EQ(elided.interp.native_calls, full.interp.native_calls);
+    EXPECT_TRUE(sameBits(elided.cost, full.cost))
+        << elided.cost << " vs " << full.cost;
+    // A 64 KB semispace holds ~58 iterations: several collections,
+    // each copying the one live Point.
+    ASSERT_GE(full.cycles.size(), 4u);
+    ASSERT_EQ(elided.cycles.size(), full.cycles.size());
+    for (std::size_t i = 0; i < full.cycles.size(); ++i) {
+        const gc::GcCycleStats &a = elided.cycles[i];
+        const gc::GcCycleStats &b = full.cycles[i];
+        EXPECT_EQ(a.objects_copied, b.objects_copied) << "cycle " << i;
+        EXPECT_EQ(a.objects_copied, 1u) << "cycle " << i;
+        EXPECT_EQ(a.bytes_copied, b.bytes_copied) << "cycle " << i;
+        EXPECT_EQ(a.roots_visited, b.roots_visited) << "cycle " << i;
+        EXPECT_EQ(a.cards_scanned, b.cards_scanned) << "cycle " << i;
+        EXPECT_EQ(a.bytes_freed, b.bytes_freed) << "cycle " << i;
+        EXPECT_EQ(a.pause.ns(), b.pause.ns()) << "cycle " << i;
+    }
+}
+
+TEST_F(VmTest, QuantumAfterNewArrMaterialisesTheArray)
+{
+    // The array is popped by the next instruction, but the quantum
+    // expires in between: the suspended frame holds a real array,
+    // which must be nil-filled and survive a collection as a root.
+    CodeBuilder b(program, object_k, "scanBuffer", 0);
+    b.pushI(128).newArr(array_k).popv().pushI(7).ret();
+    MethodId m = b.build();
+    VmConfig cfg;
+    cfg.quantum_ns = 1e-3;
+    makeContext(cfg);
+    Interpreter interp(*ctx);
+    gc::SemiSpaceCollector gc(*heap);
+    gc.addValueRoots(
+        [&](const auto &visit) { interp.forEachRoot(visit); });
+    interp.start(m, {});
+    ASSERT_EQ(interp.run().kind, Suspend::Kind::Quantum); // PushI
+    ASSERT_EQ(interp.run().kind, Suspend::Kind::Quantum); // NewArr
+
+    auto topOfStack = [&] {
+        std::vector<Frame> frames = interp.snapshotFrames();
+        EXPECT_EQ(frames.size(), 1u);
+        EXPECT_EQ(frames.back().pc, 2u);
+        EXPECT_EQ(frames.back().stack.size(), 1u);
+        return frames.back().stack.empty() ? Value::nil()
+                                           : frames.back().stack[0];
+    };
+    auto expectNilArray = [&](Ref arr) {
+        EXPECT_EQ(heap->header(arr).klass, array_k);
+        EXPECT_EQ(heap->header(arr).kind, ObjKind::Array);
+        ASSERT_EQ(heap->count(arr), 128u);
+        for (uint32_t i = 0; i < 128; ++i)
+            EXPECT_TRUE(heap->elem(arr, i).isNil()) << i;
+    };
+
+    Value before = topOfStack();
+    ASSERT_TRUE(before.isRef());
+    expectNilArray(before.asRef());
+    const uint8_t from = heap->allocSpaceId();
+    EXPECT_EQ(refSpace(before.asRef()), from);
+
+    gc::GcCycleStats st = gc.collect();
+    EXPECT_EQ(st.objects_copied, 1u);
+    EXPECT_EQ(st.bytes_copied, sizeof(ObjHeader) + 128 * sizeof(Value));
+    Value after = topOfStack();
+    ASSERT_TRUE(after.isRef());
+    EXPECT_NE(refSpace(after.asRef()), from);
+    expectNilArray(after.asRef());
+
+    EXPECT_EQ(runToCompletion(interp).asInt(), 7);
 }
 
 TEST_F(VmTest, RemoteRefLoadFaultsAndMapResolves)
