@@ -13,7 +13,11 @@
 #include <vector>
 
 #include "gc/collector.h"
+#include "vm/code_builder.h"
+#include "vm/context.h"
 #include "vm/heap.h"
+#include "vm/interpreter.h"
+#include "vm/natives.h"
 #include "vm/program.h"
 #include "vm/value.h"
 
@@ -291,11 +295,31 @@ TEST_F(GcTest, RecycledSemispaceReadsOnlyWhatAllocationsWrote)
     // Every slot of a fresh object reads nil and every byte object
     // reads back exactly what was written, in all the reused memory.
     // Dead-on-arrival holes (never written, not even a header) sit
-    // between them, and the bump pointer covers them exactly.
+    // between them, and the bump pointer covers them exactly. The
+    // interpreter makes the holes: `newObj popv` or `load newArr
+    // popv`, then a live Node it returns. Half of those runs use a
+    // quantum so short that every instruction suspends, so the dead
+    // object is materialised instead, with a header that reads back.
+    vm::CodeBuilder plain_b(program, node_k, "plainHole", 0);
+    plain_b.newObj(node_k).popv().newObj(node_k).ret();
+    const vm::MethodId plain_m = plain_b.build();
+    vm::CodeBuilder array_b(program, node_k, "arrayHole", 1);
+    array_b.load(0).newArr(node_k).popv().newObj(node_k).ret();
+    const vm::MethodId array_m = array_b.build();
+    vm::NativeRegistry natives;
+    vm::VmConfig cut_cfg;
+    cut_cfg.quantum_ns = 1e-3;
+    vm::VmContext elide_ctx(program, natives, small, vm::VmConfig{});
+    vm::VmContext cut_ctx(program, natives, small, cut_cfg);
+    elide_ctx.loadAll();
+    cut_ctx.loadAll();
+    const uint32_t node_bytes = static_cast<uint32_t>(
+        sizeof(vm::ObjHeader) + program.fieldCount(node_k) * sizeof(Value));
+
     std::vector<Ref> slotted;
     std::vector<std::pair<Ref, std::string>> blobs;
     std::size_t expected_top = vm::Space::firstOffset();
-    uint64_t holes = 0;
+    uint64_t holes = 0, dead_objects = 0;
     const uint64_t objects_before = small.stats().objects_allocated;
     for (int i = 0;; ++i) {
         Ref r;
@@ -319,22 +343,49 @@ TEST_F(GcTest, RecycledSemispaceReadsOnlyWhatAllocationsWrote)
         if (i % 4 == 1) {
             const uint32_t len = static_cast<uint32_t>(i % 9);
             const bool plain = i % 8 == 1;
-            if (!(plain ? small.reservePlain(node_k)
-                        : small.reserveArray(len)))
+            const bool cut = i % 16 >= 8;
+            const uint32_t dead_bytes = static_cast<uint32_t>(
+                sizeof(vm::ObjHeader) +
+                (plain ? program.fieldCount(node_k) : len) * sizeof(Value));
+            const uint64_t dead_at = small.space(reused).used();
+            if (dead_at + dead_bytes + node_bytes >
+                small.space(reused).capacity())
                 break;
-            ++holes;
-            expected_top += sizeof(vm::ObjHeader) +
-                            (plain ? program.fieldCount(node_k) : len) *
-                                sizeof(Value);
+            vm::Interpreter interp(cut ? cut_ctx : elide_ctx);
+            std::vector<Value> args;
+            if (!plain)
+                args.push_back(Value::ofInt(len));
+            interp.start(plain ? plain_m : array_m, std::move(args));
+            vm::Suspend s;
+            do {
+                s = interp.run();
+            } while (s.kind == vm::Suspend::Kind::Quantum);
+            ASSERT_EQ(s.kind, vm::Suspend::Kind::Done);
+            ASSERT_TRUE(s.result.isRef()) << "iteration " << i;
+            EXPECT_EQ(vm::refOffset(s.result.asRef()), dead_at + dead_bytes);
+            slotted.push_back(s.result.asRef());
+            if (cut) {
+                const vm::ObjHeader &h =
+                    small.header(vm::makeRef(reused, dead_at));
+                EXPECT_EQ(h.klass, node_k) << "iteration " << i;
+                EXPECT_EQ(h.kind,
+                          plain ? vm::ObjKind::Plain : vm::ObjKind::Array);
+                EXPECT_EQ(h.size, dead_bytes) << "iteration " << i;
+                ++dead_objects;
+            } else {
+                ++holes;
+            }
+            expected_top += dead_bytes + node_bytes;
         }
     }
     // The new objects cover all of the memory the first fill wrote.
     ASSERT_GE(small.space(reused).used() + 256, stale_top);
     ASSERT_GT(slotted.size(), 100u);
-    ASSERT_GT(holes, 40u);
+    ASSERT_GT(holes, 10u);
+    ASSERT_GT(dead_objects, 10u);
     EXPECT_EQ(small.space(reused).used(), expected_top);
     EXPECT_EQ(small.stats().objects_allocated - objects_before,
-              slotted.size() + blobs.size() + holes);
+              slotted.size() + blobs.size() + holes + dead_objects);
     for (Ref r : slotted) {
         EXPECT_EQ(small.header(r).forward, vm::kNullRef);
         for (uint32_t f = 0; f < small.count(r); ++f) {

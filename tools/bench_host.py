@@ -10,8 +10,8 @@ checkout for --pairs alternating pairs per workload: even pairs run
 the parent first, odd pairs the change first, so slow drift of the
 host hits both sides alike. The parent is a git revision (--parent),
 exported with `git archive` into a temporary directory, or an
-existing checkout (--parent-dir; --parent then only names it). Each side builds its own
-hostbench into <checkout>/.bench_build.
+existing checkout (--parent-dir; --parent then only names it). Each
+side builds its own hostbench into <checkout>/.bench_build.
 
 The record holds the commits, run.py's host descriptor, and for each
 workload and side the median, Q1 and Q3 (statistics.quantiles,
