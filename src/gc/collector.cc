@@ -102,7 +102,7 @@ SemiSpaceCollector::collect()
         was_dirty[c] = heap_.cards().isDirty(c);
     heap_.cards().clearAll();
 
-    heap_.forEachObject(Heap::kClosureSpaceId, [&](Ref obj) {
+    heap_.forEachClosureObject([&](Ref obj) {
         const ObjHeader &hdr = heap_.header(obj);
         if (hdr.kind == ObjKind::Bytes)
             return;

@@ -22,8 +22,10 @@ alignUp(uint32_t bytes)
     return (bytes + 7u) & ~7u;
 }
 
-/** @name Hole guards: under AddressSanitizer a dead-on-arrival hole
- * is poisoned, so any read of it traps; no-ops otherwise. */
+/** @name Arena guards: under AddressSanitizer every arena byte no
+ * live allocation wrote (a dead-on-arrival hole, a reset semispace's
+ * stale objects, the tail past the bump pointer) is poisoned, so a
+ * read of it traps; no-ops otherwise. */
 /// @{
 inline void
 poison([[maybe_unused]] uint8_t *p, [[maybe_unused]] std::size_t n)
@@ -41,6 +43,13 @@ unpoison([[maybe_unused]] uint8_t *p, [[maybe_unused]] std::size_t n)
 #endif
 }
 /// @}
+
+/** How far past the bump pointer an arena is at least kept poisoned
+ * under AddressSanitizer. The poison grows with the bump pointer, so
+ * its shadow costs what the arena touches, not its capacity. Each
+ * arena maps this much slack past its end, so an overrun of the last
+ * object traps as well. */
+constexpr std::size_t kRedzone = std::size_t{64} << 10;
 
 uint8_t *
 mapArena(std::size_t bytes)
@@ -62,53 +71,57 @@ Space::Unmap::operator()(uint8_t *p) const
 
 Space::Space(uint8_t id, std::size_t capacity)
     : id_(id), capacity_(capacity),
-      mem_(mapArena(capacity), Unmap{capacity}), top_(firstOffset())
+      mem_(mapArena(capacity + kRedzone), Unmap{capacity + kRedzone}),
+      top_(firstOffset())
 {
     bh_assert(capacity > firstOffset(), "space too small");
+    guardTail();
 }
 
 Space::~Space()
 {
-    // The poisoned shadow of a hole must not outlive the mapping.
-    unpoison(mem_.get(), top_);
-}
-
-uint64_t
-Space::bump(uint32_t bytes)
-{
-    if (top_ + bytes > capacity_)
-        return 0;
-    uint64_t offset = top_;
-    top_ += bytes;
-    return offset;
-}
-
-uint64_t
-Space::alloc(uint32_t bytes)
-{
-    bytes = alignUp(bytes);
-    uint64_t offset = bump(bytes);
-    if (offset != 0)
-        unpoison(mem_.get() + offset, bytes);
-    return offset;
+    // The poisoned shadow must not outlive the mapping.
+    unpoison(mem_.get(), poisoned_);
 }
 
 uint64_t
 Space::allocHole(uint32_t bytes)
 {
     bytes = alignUp(bytes);
-    uint64_t offset = bump(bytes);
+    if (top_ + bytes > capacity_)
+        return 0;
+    uint64_t offset = top_;
+    top_ += bytes;
+    guardTail();
+    return offset;
+}
+
+uint64_t
+Space::alloc(uint32_t bytes)
+{
+    uint64_t offset = allocHole(bytes);
     if (offset != 0)
-        poison(mem_.get() + offset, bytes);
+        unpoison(mem_.get() + offset, alignUp(bytes));
     return offset;
 }
 
 void
 Space::reset()
 {
-    // Holes only ever lie below the bump pointer.
-    unpoison(mem_.get(), top_);
+    poison(mem_.get(), top_);
     top_ = firstOffset();
+}
+
+void
+Space::guardTail()
+{
+#if defined(__SANITIZE_ADDRESS__)
+    if (top_ + kRedzone <= poisoned_)
+        return;
+    std::size_t end = std::min(capacity_ + kRedzone, top_ + 2 * kRedzone);
+    poison(mem_.get() + poisoned_, end - poisoned_);
+    poisoned_ = end;
+#endif
 }
 
 CardTable::CardTable(std::size_t space_capacity)
@@ -315,16 +328,11 @@ Heap::usedBytes() const
 }
 
 void
-Heap::forEachObject(uint8_t space_id,
-                    const std::function<void(Ref)> &fn)
+Heap::forEachClosureObject(const std::function<void(Ref)> &fn)
 {
-    bh_assert(space_id == kClosureSpaceId,
-              "forEachObject on allocation space %u (it may hold holes)",
-              space_id);
-    Space &s = space(space_id);
     uint64_t offset = Space::firstOffset();
-    while (offset < s.used()) {
-        Ref ref = makeRef(space_id, offset);
+    while (offset < closure_.used()) {
+        Ref ref = makeRef(kClosureSpaceId, offset);
         const ObjHeader &hdr = header(ref);
         bh_assert(hdr.size >= sizeof(ObjHeader), "corrupt heap walk");
         fn(ref);

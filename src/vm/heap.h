@@ -23,10 +23,12 @@
  * the interpreter when a New/NewArr result is popped at once). A hole
  * is accounted and bump-allocated like a real object but never
  * written, not even its header. So the allocation spaces must only
- * be reached through refs, never walked linearly: forEachObject()
- * serves the closure space alone, and the collector's Cheney scan
- * walks only the to-space it filled itself. Under AddressSanitizer a
- * hole is poisoned until its space is reset, so a stray read traps.
+ * be reached through refs, never walked linearly: only the closure
+ * space has a walker (forEachClosureObject()), and the collector's
+ * Cheney scan walks only the to-space it filled itself. Under
+ * AddressSanitizer every arena byte that no live allocation wrote (a
+ * hole, a reset semispace, the tail past the bump pointer) is
+ * poisoned, so a stray read traps.
  */
 
 #ifndef BEEHIVE_VM_HEAP_H
@@ -100,7 +102,8 @@ class Space
 
     /**
      * Bump-allocate a hole of @p bytes that nothing will ever read
-     * (see the file comment); poisoned under AddressSanitizer.
+     * (see the file comment); it stays poisoned under
+     * AddressSanitizer.
      * @return Arena offset, or 0 when the space is exhausted.
      */
     uint64_t allocHole(uint32_t bytes);
@@ -127,12 +130,13 @@ class Space
     static constexpr uint64_t firstOffset() { return 8; }
 
     /** Reset the bump pointer (collection of a semispace); under
-     * AddressSanitizer this also unpoisons every hole it held. */
+     * AddressSanitizer this also poisons the stale objects. */
     void reset();
 
   private:
-    /** Advance the bump pointer by @p bytes (8-aligned); 0 when full. */
-    uint64_t bump(uint32_t bytes);
+    /** Under AddressSanitizer, extend the poison to at least
+     * kRedzone bytes past the bump pointer (see heap.cc). */
+    void guardTail();
 
     uint8_t id_;
     std::size_t capacity_;
@@ -143,6 +147,9 @@ class Space
     };
     std::unique_ptr<uint8_t, Unmap> mem_;
     std::size_t top_;
+    /** Under AddressSanitizer, every byte of [0, poisoned_) that no
+     * live allocation wrote is poisoned. */
+    std::size_t poisoned_ = 0;
 };
 
 /** Dirty-card tracking over the closure space (512-byte cards). */
@@ -310,12 +317,11 @@ class Heap
     std::size_t usedBytes() const;
 
     /**
-     * Walk all objects in a space, in allocation order. Only the
-     * closure space may be walked: an allocation space can hold
-     * headerless holes.
+     * Walk all closure-space objects in allocation order. There is
+     * no walker for the allocation spaces: they can hold headerless
+     * holes.
      */
-    void forEachObject(uint8_t space_id,
-                       const std::function<void(Ref)> &fn);
+    void forEachClosureObject(const std::function<void(Ref)> &fn);
 
     /** Deep human-readable dump of one object (debugging). */
     std::string describe(Ref r) const;

@@ -437,27 +437,39 @@ TEST_F(GcTest, RecycledSemispaceReadsOnlyWhatAllocationsWrote)
 }
 
 #if defined(__SANITIZE_ADDRESS__)
-TEST_F(GcTest, ReadingAHoleTrapsUnderAsan)
+TEST_F(GcTest, UnwrittenArenaBytesTrapUnderAsan)
 {
-    // A dead-on-arrival hole is never written, so nothing may read
-    // it; AddressSanitizer builds poison it until the space is reset.
+    // No code may read arena bytes that a live allocation did not
+    // write. AddressSanitizer builds poison all of them: a
+    // dead-on-arrival hole, the tail past the bump pointer, the
+    // stale objects of a reset semispace, and the bytes just past a
+    // full arena's end.
     const uint8_t id = heap->allocSpaceId();
-    const uint64_t hole = heap->space(id).used();
+    vm::Space &space = heap->space(id);
+    auto read = [](vm::Space &s, uint64_t offset) {
+        volatile uint8_t b = *(s.at(vm::Space::firstOffset()) + offset -
+                               vm::Space::firstOffset());
+        (void)b;
+    };
+    const uint64_t hole = space.used();
     ASSERT_TRUE(heap->reserveArray(4));
     Ref after = heap->allocPlain(node_k);
     EXPECT_EQ(heap->field(after, 0), Value::nil());
-    EXPECT_DEATH(
-        {
-            volatile uint8_t b = *heap->space(id).at(hole);
-            (void)b;
-        },
-        "use-after-poison");
-    collector->collect();
-    collector->collect(); // the hole's space is reset and reusable
+    EXPECT_DEATH(read(space, hole), "use-after-poison");
+    EXPECT_DEATH(read(space, space.used()), "use-after-poison");
+    collector->collect(); // `after` dies and its space is reset
+    EXPECT_DEATH(read(space, vm::refOffset(after)), "use-after-poison");
+    collector->collect(); // the space allocates again
     ASSERT_EQ(heap->allocSpaceId(), id);
     Ref reused = heap->allocArray(node_k, 4);
     EXPECT_EQ(vm::refOffset(reused), hole);
     EXPECT_EQ(heap->elem(reused, 3), Value::nil());
+
+    Heap full(program, 1 << 16, 1 << 16);
+    vm::Space &last = full.space(full.allocSpaceId());
+    while (full.allocPlain(node_k) != vm::kNullRef) {
+    }
+    EXPECT_DEATH(read(last, last.capacity()), "use-after-poison");
 }
 #endif
 

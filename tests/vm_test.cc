@@ -320,8 +320,7 @@ TEST_F(VmTest, ForEachObjectWalksAllocationOrder)
     Ref b = heap->allocArray(array_k, 3, true);
     Ref c = heap->allocBytes(bytes_k, "xy", true);
     std::vector<Ref> seen;
-    heap->forEachObject(Heap::kClosureSpaceId,
-                        [&](Ref r) { seen.push_back(r); });
+    heap->forEachClosureObject([&](Ref r) { seen.push_back(r); });
     ASSERT_EQ(seen.size(), 3u);
     EXPECT_EQ(seen[0], a);
     EXPECT_EQ(seen[1], b);

@@ -9,9 +9,8 @@ Runs perfbench/run.py (--trace 0) on a parent checkout and on this
 checkout for --pairs alternating pairs per workload: even pairs run
 the parent first, odd pairs the change first, so slow drift of the
 host hits both sides alike. The parent is a git revision (--parent),
-exported with `git archive` into a temporary directory, or an
-existing checkout (--parent-dir; --parent then only names it). Each
-side builds its own hostbench into <checkout>/.bench_build.
+exported with `git archive` into a temporary directory. Each side
+builds its own hostbench into <checkout>/.bench_build.
 
 The record holds the commits, run.py's host descriptor, and for each
 workload and side the median, Q1 and Q3 (statistics.quantiles,
@@ -116,36 +115,17 @@ def bench_workload(parent, change, workload, seed, seconds, pairs):
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--parent", help="git revision of the parent")
-    ap.add_argument("--parent-dir", type=Path,
-                    help="existing checkout of the parent")
+    ap.add_argument("--parent", required=True,
+                    help="git revision of the parent")
     ap.add_argument("--workload", action="append", required=True)
     ap.add_argument("--seed", type=int, action="append",
                     help="repeatable; default 1")
     ap.add_argument("--seconds", type=float, default=30.0)
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--out", type=Path, default=ROOT / "BENCH_host.json")
     args = ap.parse_args()
     if args.pairs < 2:
         ap.error("--pairs must be at least 2 (quartiles need two runs)")
-    if not args.parent and not args.parent_dir:
-        ap.error("give --parent, --parent-dir or both")
-
-    tmp = None
-    if args.parent_dir:
-        parent = args.parent_dir.resolve()
-        parent_rev = "unknown"
-        try:
-            parent_rev = (git("rev-parse", args.parent) if args.parent
-                          else git("rev-parse", "HEAD", cwd=parent))
-        except (OSError, subprocess.CalledProcessError):
-            pass
-    else:
-        parent_rev = git("rev-parse", args.parent)
-        tmp = tempfile.mkdtemp(prefix="bench_host_parent_")
-        parent = Path(tmp)
-        export_revision(parent_rev, parent)
-
+    parent_rev = git("rev-parse", args.parent)
     record = {
         "date": datetime.datetime.now(datetime.timezone.utc)
                 .strftime("%Y-%m-%dT%H:%M:%SZ"),
@@ -157,7 +137,9 @@ def main():
                    f"--seconds {args.seconds:g} --trace 0",
         "workloads": [],
     }
+    parent = Path(tempfile.mkdtemp(prefix="bench_host_parent_"))
     try:
+        export_revision(parent_rev, parent)
         for seed in args.seed or [1]:
             for workload in args.workload:
                 entry, host = bench_workload(parent, ROOT, workload, seed,
@@ -165,12 +147,12 @@ def main():
                 record["host"] = host
                 record["workloads"].append(entry)
     finally:
-        if tmp:
-            shutil.rmtree(tmp, ignore_errors=True)
+        shutil.rmtree(parent, ignore_errors=True)
 
-    history = json.loads(args.out.read_text()) if args.out.exists() else []
+    out = ROOT / "BENCH_host.json"
+    history = json.loads(out.read_text()) if out.exists() else []
     history.append(record)
-    args.out.write_text(json.dumps(history, indent=1) + "\n")
+    out.write_text(json.dumps(history, indent=1) + "\n")
     print(json.dumps(record, indent=1))
     return 0
 
